@@ -55,6 +55,7 @@
 #include "dist/round_message.hpp"
 #include "io/async_writer.hpp"
 #include "io/snapshot.hpp"
+#include "la/batch_view.hpp"
 #include "la/workspace.hpp"
 
 namespace sa::core::detail {
@@ -156,27 +157,33 @@ class EngineBase : public Solver {
   }
 
   /// The fixed global reduction grouping this solve accumulates in.
-  /// Derived constructors call init_grouping with the global extent of
-  /// their reduction axis (rows for the regression families, features for
-  /// SVM); it sizes the grid from SolverSpec::reduction_chunk and arms
-  /// both round-message buffers.
-  void init_grouping(std::size_t extent);
+  /// Derived constructors call init_grouping with the partition of their
+  /// reduction axis (rows for the regression families, features for
+  /// SVM); it sizes the grid from SolverSpec::reduction_chunk, arms both
+  /// round-message buffers, and fixes this rank's owned chunks for the
+  /// whole solve.
+  void init_grouping(const data::Partition& slices);
   const common::ReduceGrouping& grouping() const { return grouping_; }
 
-  /// Visits every global chunk that intersects this rank's slice
-  /// [part_begin, part_end) as fn(chunk_index, global_begin, global_end)
-  /// — the loop every chunked pack site shares.  Iterating the full grid
-  /// (rather than just the owned chunks) keeps the chunk indices global,
-  /// which is what makes the wire slots line up across rank counts.
+  /// Visits every global chunk that intersects this rank's slice as
+  /// fn(chunk_index, local_begin, local_end), in global-chunk order, with
+  /// the bounds in slice-local coordinates.  The chunk indices stay
+  /// global, which is what makes the wire slots line up across rank
+  /// counts.
   template <typename Fn>
-  void for_owned_chunks(std::size_t part_begin, std::size_t part_end,
-                        Fn&& fn) const {
-    for (std::size_t c = 0; c < grouping_.num_chunks(); ++c) {
-      const std::size_t b = std::max(grouping_.begin(c), part_begin);
-      const std::size_t e = std::min(grouping_.end(c), part_end);
-      if (b < e) fn(c, b, e);
-    }
+  void for_owned_chunks(Fn&& fn) const {
+    for (std::size_t c = 0; c + 1 < owned_bounds_.size(); ++c)
+      fn(first_owned_ + c, owned_bounds_[c], owned_bounds_[c + 1]);
   }
+
+  /// The round's chunk-major pack: ONE kernel call writes the Gram
+  /// partials (pack_gram_chunks) or the dot-section partials against the
+  /// slice-local right-hand sides `xs` (pack_dot_chunks) of every owned
+  /// chunk into its wire slot of `msg`.
+  void pack_gram_chunks(const la::BatchView& view, dist::RoundMessage& msg);
+  void pack_dot_chunks(const la::BatchView& view,
+                       std::span<const std::span<const double>> xs,
+                       dist::RoundMessage& msg);
 
   /// Collective helper for trace-point norms: reduces ||v||² where this
   /// rank owns the slice of the global vector starting at `global_begin`,
@@ -240,6 +247,11 @@ class EngineBase : public Solver {
     kTraceSlot = 3
   };
   common::ReduceGrouping grouping_;
+  // This rank's owned chunks, fixed by init_grouping: global chunks
+  // first_owned_ … first_owned_ + nc − 1, with slice-local boundaries
+  // owned_bounds_ (nc + 1 entries; one entry, {0}, when none).
+  std::size_t first_owned_ = 0;
+  std::vector<std::size_t> owned_bounds_{0};
   la::Workspace msg_ws_;
   dist::RoundMessage msg_{msg_ws_, kMsgSlot};
   dist::RoundMessage msg_b_{msg_ws_, kMsgSlotB};

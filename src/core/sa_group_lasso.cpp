@@ -60,11 +60,8 @@ class GroupLassoEngine final : public detail::EngineBase {
         ws.member_value_spans(k_max);
         ws.member_rows(k_max);
       }
-      range_ws_.member_index_spans(k_max);
-      range_ws_.member_value_spans(k_max);
-      range_ws_.member_rows(k_max);
     }
-    init_grouping(rows_.total());
+    init_grouping(rows_);
 
     if (!spec_.x0.empty()) {
       x_ = spec_.x0;
@@ -113,13 +110,10 @@ class GroupLassoEngine final : public detail::EngineBase {
     pending_penalty_ = penalty_value();
     comm_.add_flops(2 * res_.size());
     comm_.add_replicated_flops(2 * n_);
-    const std::size_t pb = rows_.begin(comm_.rank());
     const std::span<const double> res(res_);
-    for_owned_chunks(pb, rows_.end(comm_.rank()),
-                     [&](std::size_t c, std::size_t b, std::size_t e) {
-                       chunks[c] =
-                           la::nrm2_squared(res.subspan(b - pb, e - b));
-                     });
+    for_owned_chunks([&](std::size_t c, std::size_t b, std::size_t e) {
+      chunks[c] = la::nrm2_squared(res.subspan(b, e - b));
+    });
   }
 
   double objective_from_partial(double reduced_partial) override {
@@ -161,13 +155,7 @@ class GroupLassoEngine final : public detail::EngineBase {
     msg.layout(detail::triangle_size(k), k, 0);
     // Gram partials per OWNED global row chunk, each into its fixed wire
     // slot (rank-count-invariant reduction grouping).
-    const std::size_t pb = rows_.begin(comm_.rank());
-    for_owned_chunks(pb, rows_.end(comm_.rank()),
-                     [&](std::size_t c, std::size_t b, std::size_t e) {
-                       la::sampled_gram_range(
-                           big_b_[buf], b - pb, e - pb, range_ws_,
-                           msg.chunk_section(dist::RoundSection::kGram, c));
-                     });
+    pack_gram_chunks(big_b_[buf], msg);
     comm_.add_flops(big_b_[buf].gram_flops());
   }
 
@@ -177,13 +165,7 @@ class GroupLassoEngine final : public detail::EngineBase {
     const std::array<std::span<const double>, 1> rhs{
         std::span<const double>(res_)};
     const std::span<const std::span<const double>> rhs_span(rhs);
-    const std::size_t pb = rows_.begin(comm_.rank());
-    for_owned_chunks(pb, rows_.end(comm_.rank()),
-                     [&](std::size_t c, std::size_t b, std::size_t e) {
-                       la::sampled_dots_range(big_b_[buf], rhs_span, b - pb,
-                                              e - pb, range_ws_,
-                                              msg.chunk_dots(c));
-                     });
+    pack_dot_chunks(big_b_[buf], rhs_span, msg);
     comm_.add_flops(big_b_[buf].dot_all_flops());
   }
 
@@ -327,8 +309,6 @@ class GroupLassoEngine final : public detail::EngineBase {
   std::vector<std::size_t> offset_b_[2];
   std::span<std::size_t> idx_b_[2];
   la::BatchView big_b_[2];
-  // Scratch for the narrowed per-chunk views (see LassoEngine::range_ws_).
-  la::Workspace range_ws_;
   std::uint64_t rng_mark_ = 0;
   double pending_penalty_ = 0.0;
 };

@@ -62,7 +62,7 @@ class LassoEngine final : public detail::EngineBase {
       for (std::size_t i = 0; i < z_img_.size(); ++i)
         z_img_[i] = -block_.labels()[i];
     }
-    init_grouping(rows_.total());
+    init_grouping(rows_);
     eig_scratch_.reserve(mu_);
     // Flat pending-update table + touched list (replaces a per-iteration
     // map): pending[coord] accumulates this round's deferred updates and
@@ -82,9 +82,6 @@ class LassoEngine final : public detail::EngineBase {
         ws.member_value_spans(k_max);
         ws.member_rows(k_max);
       }
-      range_ws_.member_index_spans(k_max);
-      range_ws_.member_value_spans(k_max);
-      range_ws_.member_rows(k_max);
       sampler_.reserve_rewind(k_max);
     }
   }
@@ -149,13 +146,10 @@ class LassoEngine final : public detail::EngineBase {
     write_current_residual();
     comm_.add_flops(2 * res_scratch_.size());
     comm_.add_replicated_flops(2 * n_);
-    const std::size_t pb = rows_.begin(comm_.rank());
     const std::span<const double> res(res_scratch_);
-    for_owned_chunks(pb, rows_.end(comm_.rank()),
-                     [&](std::size_t c, std::size_t b, std::size_t e) {
-                       chunks[c] =
-                           la::nrm2_squared(res.subspan(b - pb, e - b));
-                     });
+    for_owned_chunks([&](std::size_t c, std::size_t b, std::size_t e) {
+      chunks[c] = la::nrm2_squared(res.subspan(b, e - b));
+    });
   }
 
   double objective_from_partial(double reduced_partial) override {
@@ -185,13 +179,7 @@ class LassoEngine final : public detail::EngineBase {
     // Gram partials per OWNED global row chunk, each into its fixed wire
     // slot — the per-chunk sums are identical on every rank count, so the
     // chunk-order fold after the reduction is too.
-    const std::size_t pb = rows_.begin(comm_.rank());
-    for_owned_chunks(pb, rows_.end(comm_.rank()),
-                     [&](std::size_t c, std::size_t b, std::size_t e) {
-                       la::sampled_gram_range(
-                           big_b_[buf], b - pb, e - pb, range_ws_,
-                           msg.chunk_section(dist::RoundSection::kGram, c));
-                     });
+    pack_gram_chunks(big_b_[buf], msg);
     comm_.add_flops(big_b_[buf].gram_flops());
   }
 
@@ -203,13 +191,7 @@ class LassoEngine final : public detail::EngineBase {
         std::span<const double>(y_img_), std::span<const double>(z_img_)};
     const std::span<const std::span<const double>> rhs_span(
         rhs.data() + (spec_.accelerated ? 0 : 1), sections);
-    const std::size_t pb = rows_.begin(comm_.rank());
-    for_owned_chunks(pb, rows_.end(comm_.rank()),
-                     [&](std::size_t c, std::size_t b, std::size_t e) {
-                       la::sampled_dots_range(big_b_[buf], rhs_span, b - pb,
-                                              e - pb, range_ws_,
-                                              msg.chunk_dots(c));
-                     });
+    pack_dot_chunks(big_b_[buf], rhs_span, msg);
     comm_.add_flops(sections * big_b_[buf].dot_all_flops());
   }
 
@@ -427,12 +409,6 @@ class LassoEngine final : public detail::EngineBase {
   la::Workspace round_ws_[2];
   std::span<std::size_t> idx_b_[2];
   la::BatchView big_b_[2];
-  // Scratch workspace for the narrowed (per-chunk) views the range
-  // kernels build — distinct from the round workspaces because the named
-  // descriptor pools are one-buffer-per-Workspace and the original view
-  // must stay intact for apply_round.  One suffices even with the
-  // pipeline: narrowed views are consumed inside each kernel call.
-  la::Workspace range_ws_;
   double pending_penalty_ = 0.0;
 
   // Trace scratch, reused across every trace point (no fresh vectors).

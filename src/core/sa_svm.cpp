@@ -50,8 +50,10 @@ class SvmEngine final : public detail::EngineBase {
         margins_(m_) {
     // The SVM reduces over the FEATURE axis (the primal slice is
     // column-partitioned), so the fixed grouping chunks columns.
-    init_grouping(cols_.total());
-    margins_chunks_.resize(grouping().num_chunks() * m_);
+    init_grouping(cols_);
+    // The G·m duality-gap block exists only for trace points.
+    if (spec_.trace_every > 0)
+      margins_chunks_.resize(grouping().num_chunks() * m_);
     if (spec_.pipeline) {
       // Pre-size both round buffers up front, so short (never-speculating)
       // and long solves make identical allocations
@@ -63,9 +65,6 @@ class SvmEngine final : public detail::EngineBase {
         ws.member_value_spans(k_max);
         ws.member_rows(k_max);
       }
-      range_ws_.member_index_spans(k_max);
-      range_ws_.member_value_spans(k_max);
-      range_ws_.member_rows(k_max);
     }
   }
 
@@ -81,21 +80,18 @@ class SvmEngine final : public detail::EngineBase {
     // fold below is identical on every rank count (the rank-count-
     // invariant replacement for summing whole per-rank partials).
     la::fill(margins_chunks_, 0.0);
-    const std::size_t pb = cols_.begin(comm_.rank());
-    for_owned_chunks(pb, cols_.end(comm_.rank()),
-                     [&](std::size_t c, std::size_t b, std::size_t e) {
-                       block_.matrix().spmv_col_range(
-                           x_loc_, b - pb, e - pb,
-                           std::span<double>(margins_chunks_)
-                               .subspan(c * m_, m_));
-                     });
+    for_owned_chunks([&](std::size_t c, std::size_t b, std::size_t e) {
+      block_.matrix().spmv_col_range(
+          x_loc_, b, e, std::span<double>(margins_chunks_).subspan(c * m_, m_));
+    });
     // sa-lint: allow(collective): duality-gap trace instrumentation only
     comm_.allreduce_sum(margins_chunks_);
     la::fill(margins_, 0.0);
     for (std::size_t c = 0; c < grouping().num_chunks(); ++c)
       for (std::size_t i = 0; i < m_; ++i)
         margins_[i] += margins_chunks_[c * m_ + i];
-    const double x_norm_sq = grouped_norm_allreduce(x_loc_, pb);
+    const double x_norm_sq =
+        grouped_norm_allreduce(x_loc_, cols_.begin(comm_.rank()));
     double hinge_sum = 0.0;
     for (std::size_t i = 0; i < m_; ++i) {
       const double slack = std::max(0.0, 1.0 - b[i] * margins_[i]);
@@ -124,13 +120,7 @@ class SvmEngine final : public detail::EngineBase {
     msg.layout(detail::triangle_size(s_eff), s_eff, 0);
     // Gram partials per OWNED global column chunk, each into its fixed
     // wire slot (rank-count-invariant reduction grouping).
-    const std::size_t pb = cols_.begin(comm_.rank());
-    for_owned_chunks(pb, cols_.end(comm_.rank()),
-                     [&](std::size_t c, std::size_t b, std::size_t e) {
-                       la::sampled_gram_range(
-                           batch_b_[buf], b - pb, e - pb, range_ws_,
-                           msg.chunk_section(dist::RoundSection::kGram, c));
-                     });
+    pack_gram_chunks(batch_b_[buf], msg);
     comm_.add_flops(batch_b_[buf].gram_flops());
   }
 
@@ -140,13 +130,7 @@ class SvmEngine final : public detail::EngineBase {
     const std::array<std::span<const double>, 1> rhs{
         std::span<const double>(x_loc_)};
     const std::span<const std::span<const double>> rhs_span(rhs);
-    const std::size_t pb = cols_.begin(comm_.rank());
-    for_owned_chunks(pb, cols_.end(comm_.rank()),
-                     [&](std::size_t c, std::size_t b, std::size_t e) {
-                       la::sampled_dots_range(batch_b_[buf], rhs_span,
-                                              b - pb, e - pb, range_ws_,
-                                              msg.chunk_dots(c));
-                     });
+    pack_dot_chunks(batch_b_[buf], rhs_span, msg);
     comm_.add_flops(batch_b_[buf].dot_all_flops());
   }
 
@@ -259,13 +243,11 @@ class SvmEngine final : public detail::EngineBase {
   la::Workspace round_ws_[2];
   std::span<std::size_t> idx_b_[2];
   la::BatchView batch_b_[2];
-  // Scratch for the narrowed per-chunk views (see LassoEngine::range_ws_).
-  la::Workspace range_ws_;
   std::uint64_t rng_mark_ = 0;
 
   // Trace scratch, reused across every trace point (no fresh vectors):
   // the folded margins and the per-global-chunk partial block (G·m) the
-  // duality-gap reduction accumulates in.
+  // duality-gap reduction accumulates in — sized only when tracing.
   std::vector<double> margins_;
   std::vector<double> margins_chunks_;
 };

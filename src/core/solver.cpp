@@ -793,10 +793,39 @@ std::span<const double> EngineBase::gather_full(
   return full;
 }
 
-void EngineBase::init_grouping(std::size_t extent) {
-  grouping_ = common::ReduceGrouping::make(extent, spec_.reduction_chunk);
+void EngineBase::init_grouping(const data::Partition& slices) {
+  grouping_ = common::ReduceGrouping::make(slices.total(),
+                                           spec_.reduction_chunk);
   msg_.set_grouping(grouping_.num_chunks());
   msg_b_.set_grouping(grouping_.num_chunks());
+  const std::size_t pb = slices.begin(comm_.rank());
+  const std::size_t pe = slices.end(comm_.rank());
+  owned_bounds_.clear();
+  for (std::size_t c = 0; c < grouping_.num_chunks(); ++c) {
+    const std::size_t b = std::max(grouping_.begin(c), pb);
+    const std::size_t e = std::min(grouping_.end(c), pe);
+    if (b >= e) continue;
+    if (owned_bounds_.empty()) {
+      first_owned_ = c;
+      owned_bounds_.push_back(b - pb);
+    }
+    owned_bounds_.push_back(e - pb);
+  }
+  if (owned_bounds_.empty()) owned_bounds_.push_back(0);
+}
+
+void EngineBase::pack_gram_chunks(const la::BatchView& view,
+                                  dist::RoundMessage& msg) {
+  la::sampled_gram_chunks(view, owned_bounds_, msg.chunk_stride(),
+                          msg.chunk_section(dist::RoundSection::kGram,
+                                            first_owned_));
+}
+
+void EngineBase::pack_dot_chunks(
+    const la::BatchView& view, std::span<const std::span<const double>> xs,
+    dist::RoundMessage& msg) {
+  la::sampled_dots_chunks(view, xs, owned_bounds_, msg.chunk_stride(),
+                          msg.chunk_dots(first_owned_));
 }
 
 double EngineBase::grouped_norm_allreduce(std::span<const double> local,

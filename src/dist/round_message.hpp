@@ -113,25 +113,27 @@ class RoundMessage {
   /// The whole packed buffer (wire plus, under G > 1, the fold region).
   std::span<double> packed() { return buffer_; }
 
-  /// Chunk `c`'s slot of a body section (kGram/kDots1/kDots2) on the
-  /// wire — where a rank writes the per-chunk partial for a global chunk
-  /// it owns.
+  /// Words between chunk c's and chunk c+1's slot of any body section.
+  std::size_t chunk_stride() const { return chunk_stride_; }
+
+  /// Body section `s` (kGram/kDots1/kDots2) of chunks c, c+1, …, G−1 on
+  /// the wire, as one strided run: chunk c+j's slot is
+  /// [j·chunk_stride(), j·chunk_stride() + words(s)).  This is where a
+  /// rank's chunk-major pack kernel (la::sampled_gram_chunks) writes the
+  /// partials of the global chunks it owns, starting at its first one.
   std::span<double> chunk_section(RoundSection s, std::size_t c) {
     const auto i = static_cast<std::size_t>(s);
-    return buffer_.subspan(c * chunk_stride_ + chunk_offset_[i], words_[i]);
+    return chunk_run(c, chunk_offset_[i], words_[i]);
   }
 
-  /// Chunk `c`'s contiguous [dots1 | dots2] half — the state-DEPENDENT
-  /// sections the split pack path (la::sampled_dots) writes after the
-  /// previous round's apply, while the Gram triangle may have been packed
+  /// The contiguous [dots1 | dots2] half of chunks c, c+1, …, G−1, as a
+  /// strided run like chunk_section — the state-DEPENDENT sections the
+  /// split pack path (la::sampled_dots_chunks) writes after the previous
+  /// round's apply, while the Gram triangle may have been packed
   /// speculatively a round earlier.
   std::span<double> chunk_dots(std::size_t c) {
-    return buffer_.subspan(c * chunk_stride_ + chunk_offset_[1],
-                           words_[1] + words_[2]);
+    return chunk_run(c, chunk_offset_[1], words_[1] + words_[2]);
   }
-
-  /// Whole-body convenience under G = 1 (legacy split pack path).
-  std::span<double> dots() { return chunk_dots(0); }
 
   /// The G-chunk objective partial block on the wire (G × objective_words,
   /// chunk-major).  Engines write per-owned-chunk objective partials here;
@@ -173,6 +175,12 @@ class RoundMessage {
   }
 
  private:
+  std::span<double> chunk_run(std::size_t c, std::size_t offset,
+                              std::size_t words) {
+    return buffer_.subspan(c * chunk_stride_ + offset,
+                           (chunks_ - 1 - c) * chunk_stride_ + words);
+  }
+
   la::Workspace& ws_;
   std::size_t slot_;
   std::span<double> buffer_;

@@ -28,7 +28,6 @@
 #include "la/batch_view.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "common/annotate.hpp"
 #include "common/check.hpp"
@@ -67,36 +66,136 @@ std::vector<double>& sparse_gram_workspace(std::size_t dim) {
   return acc;
 }
 
-/// One fused row pass: scatters member i, writes its packed Gram row
-/// (entries (i, j ≥ i), contiguous in the packed layout) via the gather
-/// kernel, computes its dot-section entries, and restores the zeros.
-void sparse_fused_row(const BatchView& v, std::size_t i,
-                      std::span<const std::span<const double>> xs,
-                      std::vector<double>& acc, double* g, double* dots,
-                      std::size_t k, const simd::KernelTable& kt) {
-  const std::span<const std::size_t> vi_idx = v.member_indices(i);
-  const std::span<const double> vi_val = v.member_values(i);
-  for (std::size_t p = 0; p < vi_idx.size(); ++p) acc[vi_idx[p]] = vi_val[p];
-  double* row = g + packed_upper_index(i, i, k);
-  // Partner dots gather through v_j's nonzeros (the two-accumulator
-  // legacy order at the scalar level; vector gathers above it).
+/// Member j's nonzeros, or the part of them inside one chunk.
+struct Segment {
+  const std::size_t* idx;
+  const double* val;
+  std::size_t n;
+};
+
+/// Packed Gram row of member i (entries (i, j ≥ i), contiguous in the
+/// packed layout, starting at `row`): scatters seg(i) into the all-zero
+/// accumulator, gathers every partner seg(j) through it, and restores the
+/// zeros.  Partner dots use the two-accumulator legacy order at the scalar
+/// level and vector gathers above it.
+template <typename SegmentOf>
+void sparse_gram_row(const SegmentOf& seg, std::size_t i, std::size_t k,
+                     std::vector<double>& acc, double* row,
+                     const simd::KernelTable& kt) {
+  const Segment si = seg(i);
+  for (std::size_t p = 0; p < si.n; ++p) acc[si.idx[p]] = si.val[p];
   for (std::size_t j = i; j < k; ++j) {
-    const std::span<const std::size_t> vj_idx = v.member_indices(j);
-    const std::span<const double> vj_val = v.member_values(j);
-    row[j - i] =
-        kt.gather_dot2(vj_val.data(), vj_idx.data(), vj_idx.size(),
-                       acc.data());
+    const Segment sj = seg(j);
+    row[j - i] = kt.gather_dot2(sj.val, sj.idx, sj.n, acc.data());
   }
-  // Fused dot sections: v_i · x, in the same gather order as the
-  // sparse-dense dot kernel (sparse_vector.cpp) — bit-identical to the
-  // separate dot_all pass it replaces.
-  for (std::size_t sct = 0; sct < xs.size(); ++sct) {
-    const std::span<const double> x = xs[sct];
-    dots[sct * k + i] =
-        kt.gather_dot(vi_val.data(), vi_idx.data(), vi_idx.size(),
-                      x.data());
+  for (std::size_t p = 0; p < si.n; ++p) acc[si.idx[p]] = 0.0;
+}
+
+/// Moves segs[i] — member i's nonzeros in the previous chunk — on to
+/// member i's nonzeros in [begin, end), the next chunk.  Nonzeros before
+/// `begin` are skipped, so a call that starts from empty segments at each
+/// member's first nonzero also seeks past any slice before the first
+/// chunk.  Over a whole pack call this is one linear walk per member.
+void advance_segments(const BatchView& y, std::size_t begin,
+                      std::size_t end, std::span<Segment> segs) {
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    const std::span<const std::size_t> idx = y.member_indices(i);
+    auto p = static_cast<std::size_t>(segs[i].idx + segs[i].n - idx.data());
+    while (p < idx.size() && idx[p] < begin) ++p;
+    std::size_t e = p;
+    while (e < idx.size() && idx[e] < end) ++e;
+    segs[i] = {idx.data() + p, y.member_values(i).data() + p, e - p};
   }
-  for (std::size_t p = 0; p < vi_idx.size(); ++p) acc[vi_idx[p]] = 0.0;
+}
+
+/// Runs prepare(c), then body(c, t) for every t in [0, n), chunk by
+/// chunk in order c = 0 … nc−1.  prepare fills per-chunk scratch that all
+/// of that chunk's body calls read; body calls write disjoint outputs.
+/// With `parallel` set and more than one thread available, everything
+/// runs inside ONE OpenMP region — one thread prepares each chunk, the
+/// team shares its n work items, and barriers keep the chunks apart — and
+/// otherwise as plain loops, so the results are identical either way.
+template <typename Prepare, typename Body>
+void for_each_chunk(std::size_t nc, std::size_t n, bool parallel,
+                    Prepare&& prepare, Body&& body) {
+#ifdef _OPENMP
+  if (parallel && omp_get_max_threads() > 1) {
+#pragma omp parallel
+    for (std::size_t c = 0; c < nc; ++c) {
+#pragma omp single
+      prepare(c);
+#pragma omp for schedule(dynamic)
+      for (std::ptrdiff_t t = 0; t < static_cast<std::ptrdiff_t>(n); ++t)
+        body(c, static_cast<std::size_t>(t));
+    }
+    return;
+  }
+#endif
+  (void)parallel;
+  for (std::size_t c = 0; c < nc; ++c) {
+    prepare(c);
+    for (std::size_t t = 0; t < n; ++t) body(c, t);
+  }
+}
+
+/// Per-chunk scratch of the chunk-major kernels: k segments (sparse) or k
+/// shifted row pointers (dense).  Grow-only thread-local storage, sized
+/// by the first (largest) round; the calling thread's copy is shared with
+/// the team through the spans handed out.
+template <typename T>
+std::span<T> chunk_scratch(std::size_t k) {
+  thread_local std::vector<T> scratch;
+  // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
+  if (scratch.size() < k) scratch.resize(k);
+  return std::span<T>(scratch.data(), k);
+}
+
+/// Empty segments at each sparse member's first nonzero, for
+/// advance_segments to walk from.
+std::span<Segment> start_segments(const BatchView& y) {
+  const std::span<Segment> segs = chunk_scratch<Segment>(y.size());
+  for (std::size_t i = 0; i < segs.size(); ++i)
+    segs[i] = {y.member_indices(i).data(), y.member_values(i).data(), 0};
+  return segs;
+}
+
+/// Tile pair t of the packed upper triangle `g` (zeroed by the caller),
+/// by flat index over `tiles` tile rows: inverts the index with a short
+/// scan for the tile row, then runs the dispatched tile walker on
+/// rows[·][0, d).  Each packed entry belongs to exactly one tile pair, so
+/// tile pairs are independent.
+void dense_tile(const double* const* rows, std::size_t d, std::size_t k,
+                std::size_t tiles, std::size_t t, double* g,
+                const simd::KernelTable& kt) {
+  std::size_t ti = 0;
+  std::size_t row_start = 0;
+  while (row_start + (tiles - ti) <= t) {
+    row_start += tiles - ti;
+    ++ti;
+  }
+  const std::size_t tj = ti + (t - row_start);
+  const std::size_t ib = ti * kGramTile;
+  const std::size_t jb = tj * kGramTile;
+  kt.gram_tile(rows, d, k, g, ib, std::min(ib + kGramTile, k), jb,
+               std::min(jb + kGramTile, k));
+}
+
+/// Shared argument checks of the chunk-major kernels: `bounds` is a
+/// non-empty, non-decreasing list inside [0, dim], and `out` holds nc
+/// sections of `words` entries spaced `stride` apart.
+void check_chunk_args(const BatchView& y,
+                      std::span<const std::size_t> bounds,
+                      std::size_t stride, std::size_t words,
+                      std::size_t out_size) {
+  SA_CHECK(!bounds.empty(), "chunk kernels: bounds need nc + 1 entries");
+  for (std::size_t c = 0; c + 1 < bounds.size(); ++c)
+    SA_CHECK(bounds[c] <= bounds[c + 1], "chunk kernels: bounds decrease");
+  SA_CHECK(bounds.back() <= y.dim(), "chunk kernels: bounds exceed dim");
+  const std::size_t nc = bounds.size() - 1;
+  SA_CHECK(nc <= 1 || stride >= words,
+           "chunk kernels: stride shorter than a section");
+  SA_CHECK(nc == 0 || out_size >= (nc - 1) * stride + words,
+           "chunk kernels: output too short for the chunk run");
 }
 
 }  // namespace
@@ -219,27 +318,9 @@ void sampled_gram_and_dots(const BatchView& y,
     const std::size_t tiles = (k + kGramTile - 1) / kGramTile;
     const std::size_t tile_pairs = tiles * (tiles + 1) / 2;
     const bool parallel = k * (k + 1) * d / 2 >= kParallelFlopThreshold;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) if (parallel)
-#endif
-    for (std::ptrdiff_t t = 0; t < static_cast<std::ptrdiff_t>(tile_pairs);
-         ++t) {
-      // Invert the packed upper-triangle index: find the tile row ti whose
-      // range of flat indices contains t (tiles is small — a short scan).
-      std::size_t ti = 0;
-      std::size_t row_start = 0;
-      while (row_start + (tiles - ti) <= static_cast<std::size_t>(t)) {
-        row_start += tiles - ti;
-        ++ti;
-      }
-      const std::size_t tj = ti + (static_cast<std::size_t>(t) - row_start);
-      const std::size_t ib = ti * kGramTile;
-      const std::size_t jb = tj * kGramTile;
-      kt.gram_tile(y.row_pointers().data(), d, k, g, ib,
-                   std::min(ib + kGramTile, k), jb,
-                   std::min(jb + kGramTile, k));
-    }
-    (void)parallel;
+    parallel_for(tile_pairs, parallel, [&](std::size_t t) {
+      dense_tile(y.row_pointers().data(), d, k, tiles, t, g, kt);
+    });
     // Dot sections: same per-member kernel and schedule as dot_all.
     for (std::size_t sct = 0; sct < xs.size(); ++sct)
       batch_dots(y, xs[sct], std::span<double>(dots + sct * k, k));
@@ -247,106 +328,114 @@ void sampled_gram_and_dots(const BatchView& y,
   }
 
   // Sparse: one fused sweep per member — Gram row + dot entries together.
-  const std::size_t total_nnz = y.nnz();
-  const bool parallel = k * total_nnz >= kParallelFlopThreshold && k > 1;
-#ifdef _OPENMP
-#pragma omp parallel if (parallel)
-  {
-    std::vector<double>& acc = sparse_gram_workspace(d);
-#pragma omp for schedule(dynamic)
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(k); ++i)
-      sparse_fused_row(y, static_cast<std::size_t>(i), xs, acc, g, dots, k,
-                       kt);
-  }
-#else
-  (void)parallel;
-  std::vector<double>& acc = sparse_gram_workspace(d);
-  for (std::size_t i = 0; i < k; ++i)
-    sparse_fused_row(y, i, xs, acc, g, dots, k, kt);
-#endif
+  const bool parallel = k * y.nnz() >= kParallelFlopThreshold && k > 1;
+  const auto whole = [&](std::size_t j) {
+    return Segment{y.member_indices(j).data(), y.member_values(j).data(),
+                   y.member_nnz(j)};
+  };
+  parallel_for(k, parallel, [&](std::size_t i) {
+    sparse_gram_row(whole, i, k, sparse_gram_workspace(d),
+                    g + packed_upper_index(i, i, k), kt);
+    // Fused dot sections: v_i · x, in the same gather order as the
+    // sparse-dense dot kernel (sparse_vector.cpp) — bit-identical to the
+    // separate dot_all pass it replaces.
+    const Segment si = whole(i);
+    for (std::size_t sct = 0; sct < xs.size(); ++sct)
+      dots[sct * k + i] = kt.gather_dot(si.val, si.idx, si.n, xs[sct].data());
+  });
 }
 
-void sampled_gram(const BatchView& y, std::span<double> out) {
-  sampled_gram_and_dots(y, {}, out);
-}
-
-void sampled_dots(const BatchView& y,
-                  std::span<const std::span<const double>> xs,
-                  std::span<double> out) {
+void sampled_gram_chunks(const BatchView& y,
+                         std::span<const std::size_t> bounds,
+                         std::size_t stride, std::span<double> out) {
   SA_STEADY_STATE;
   const std::size_t k = y.size();
-  SA_CHECK(out.size() == xs.size() * k,
-           "sampled_dots: buffer size mismatch");
-  for (std::size_t sct = 0; sct < xs.size(); ++sct)
-    batch_dots(y, xs[sct], out.subspan(sct * k, k));
-}
-
-namespace {
-
-/// Builds the [begin, end)-restricted view in `scratch`.  Dense members
-/// shift their row pointers (the staged rows are contiguous) and the view
-/// narrows to end − begin; sparse members narrow their nonzero spans via
-/// lower_bound over the sorted index arrays, keeping absolute indices (and
-/// therefore the full dimension) so the gather kernels read the same
-/// values they would in a full-range pass.
-BatchView narrowed_view(const BatchView& y, std::size_t begin,
-                        std::size_t end, Workspace& scratch) {
-  const std::size_t k = y.size();
+  const std::size_t tri = k * (k + 1) / 2;
+  check_chunk_args(y, bounds, stride, tri, out.size());
+  const std::size_t nc = bounds.size() - 1;
+  if (k == 0 || nc == 0) return;
+  const simd::KernelTable& kt = simd::active();
   if (y.is_dense()) {
-    std::span<const double*> rows = scratch.member_rows(k);
-    for (std::size_t i = 0; i < k; ++i)
-      rows[i] = y.row_pointers()[i] + begin;
-    return BatchView::dense(rows, end - begin);
-  }
-  std::span<std::span<const std::size_t>> idx =
-      scratch.member_index_spans(k);
-  std::span<std::span<const double>> val = scratch.member_value_spans(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::span<const std::size_t> mi = y.member_indices(i);
-    const std::span<const double> mv = y.member_values(i);
-    const std::size_t lo = static_cast<std::size_t>(
-        std::lower_bound(mi.begin(), mi.end(), begin) - mi.begin());
-    const std::size_t hi = static_cast<std::size_t>(
-        std::lower_bound(mi.begin() + lo, mi.end(), end) - mi.begin());
-    idx[i] = mi.subspan(lo, hi - lo);
-    val[i] = mv.subspan(lo, hi - lo);
-  }
-  return BatchView::sparse(idx, val, y.dim());
-}
-
-}  // namespace
-
-void sampled_gram_range(const BatchView& y, std::size_t begin,
-                        std::size_t end, Workspace& scratch,
-                        std::span<double> out) {
-  SA_STEADY_STATE;
-  SA_CHECK(begin <= end && end <= y.dim(),
-           "sampled_gram_range: invalid range");
-  sampled_gram(narrowed_view(y, begin, end, scratch), out);
-}
-
-void sampled_dots_range(const BatchView& y,
-                        std::span<const std::span<const double>> xs,
-                        std::size_t begin, std::size_t end,
-                        Workspace& scratch, std::span<double> out) {
-  SA_STEADY_STATE;
-  SA_CHECK(begin <= end && end <= y.dim(),
-           "sampled_dots_range: invalid range");
-  SA_CHECK(xs.size() <= kMaxDotSections,
-           "sampled_dots_range: too many right-hand sides");
-  const BatchView view = narrowed_view(y, begin, end, scratch);
-  if (!y.is_dense()) {
-    // Sparse members kept absolute indices, which gather through the FULL
-    // right-hand sides.
-    sampled_dots(view, xs, out);
+    // The full-range tile walker per chunk, on row pointers shifted to
+    // the chunk.
+    const std::span<const double*> rows = chunk_scratch<const double*>(k);
+    const std::size_t tiles = (k + kGramTile - 1) / kGramTile;
+    const std::size_t tile_pairs = tiles * (tiles + 1) / 2;
+    const bool parallel = k * (k + 1) * (bounds.back() - bounds.front()) /
+                              2 >=
+                          kParallelFlopThreshold;
+    for_each_chunk(
+        nc, tile_pairs, parallel,
+        [&](std::size_t c) {
+          for (std::size_t i = 0; i < k; ++i)
+            rows[i] = y.row_pointers()[i] + bounds[c];
+          std::fill_n(out.data() + c * stride, tri, 0.0);
+        },
+        [&](std::size_t c, std::size_t t) {
+          dense_tile(rows.data(), bounds[c + 1] - bounds[c], k, tiles, t,
+                     out.data() + c * stride, kt);
+        });
     return;
   }
-  std::array<std::span<const double>, kMaxDotSections> sub;
-  for (std::size_t i = 0; i < xs.size(); ++i)
-    sub[i] = xs[i].subspan(begin, end - begin);
-  sampled_dots(view, std::span<const std::span<const double>>(sub.data(),
-                                                              xs.size()),
-               out);
+  // Sparse: per member the same scatter + partner gathers as the
+  // full-range row, over the members' segments in the chunk.
+  const std::span<Segment> segs = start_segments(y);
+  const bool parallel = k * y.nnz() >= kParallelFlopThreshold && k > 1;
+  for_each_chunk(
+      nc, k, parallel,
+      [&](std::size_t c) {
+        advance_segments(y, bounds[c], bounds[c + 1], segs);
+      },
+      [&](std::size_t c, std::size_t i) {
+        sparse_gram_row([&](std::size_t j) { return segs[j]; }, i, k,
+                        sparse_gram_workspace(y.dim()),
+                        out.data() + c * stride + packed_upper_index(i, i, k),
+                        kt);
+      });
+}
+
+void sampled_dots_chunks(const BatchView& y,
+                         std::span<const std::span<const double>> xs,
+                         std::span<const std::size_t> bounds,
+                         std::size_t stride, std::span<double> out) {
+  SA_STEADY_STATE;
+  const std::size_t k = y.size();
+  check_chunk_args(y, bounds, stride, xs.size() * k, out.size());
+  for (const std::span<const double>& x : xs)
+    SA_CHECK(x.size() == y.dim(), "sampled_dots_chunks: rhs length mismatch");
+  const std::size_t nc = bounds.size() - 1;
+  if (k == 0 || nc == 0 || xs.empty()) return;
+  const simd::KernelTable& kt = simd::active();
+  const std::size_t ns = xs.size();
+  const bool parallel =
+      2 * ns * y.nnz() >= kParallelFlopThreshold && ns * k > 1;
+  // Work item t = sct·k + i of a chunk is entry t of its dot sections:
+  // one section at a time over all members, the order of batch_dots.
+  if (y.is_dense()) {
+    for_each_chunk(
+        nc, ns * k, parallel, [](std::size_t) {},
+        [&](std::size_t c, std::size_t t) {
+          const std::size_t sct = t / k;
+          const std::size_t b = bounds[c];
+          out[c * stride + t] = kt.dot(y.row_pointers()[t - sct * k] + b,
+                                       xs[sct].data() + b, bounds[c + 1] - b);
+        });
+    return;
+  }
+  const std::span<Segment> segs = start_segments(y);
+  for_each_chunk(
+      nc, ns * k, parallel,
+      [&](std::size_t c) {
+        advance_segments(y, bounds[c], bounds[c + 1], segs);
+      },
+      [&](std::size_t c, std::size_t t) {
+        const std::size_t sct = t / k;
+        const Segment si = segs[t - sct * k];
+        // Same gather order as dot(SparseVector, span), through the FULL
+        // right-hand sides (the members keep their absolute indices).
+        out[c * stride + t] =
+            kt.gather_dot(si.val, si.idx, si.n, xs[sct].data());
+      });
 }
 
 void batch_dots(const BatchView& y, std::span<const double> x,
@@ -358,28 +447,18 @@ void batch_dots(const BatchView& y, std::span<const double> x,
   const bool parallel = 2 * y.nnz() >= kParallelFlopThreshold && k > 1;
   const simd::KernelTable& kt = simd::active();
   if (y.is_dense()) {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) if (parallel)
-#endif
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(k); ++i) {
-      const std::span<const double> row =
-          y.dense_row(static_cast<std::size_t>(i));
+    parallel_for(k, parallel, [&](std::size_t i) {
+      const std::span<const double> row = y.dense_row(i);
       out[i] = kt.dot(row.data(), x.data(), row.size());
-    }
-  } else {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) if (parallel)
-#endif
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(k); ++i) {
-      // Same gather order as dot(SparseVector, span).
-      const std::span<const std::size_t> idx =
-          y.member_indices(static_cast<std::size_t>(i));
-      const std::span<const double> val =
-          y.member_values(static_cast<std::size_t>(i));
-      out[i] = kt.gather_dot(val.data(), idx.data(), idx.size(), x.data());
-    }
+    });
+    return;
   }
-  (void)parallel;
+  parallel_for(k, parallel, [&](std::size_t i) {
+    // Same gather order as dot(SparseVector, span).
+    const std::span<const std::size_t> idx = y.member_indices(i);
+    const std::span<const double> val = y.member_values(i);
+    out[i] = kt.gather_dot(val.data(), idx.data(), idx.size(), x.data());
+  });
 }
 
 }  // namespace sa::la

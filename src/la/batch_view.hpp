@@ -9,17 +9,19 @@
 // in a la::Workspace, so building a view performs no heap allocation in
 // steady state.
 //
-// sampled_gram_and_dots() is the one kernel the s-step solvers need per
-// outer iteration: it computes the packed upper-triangular Gram of the
-// view AND the dot sections Yᵀx for each right-hand side directly into
-// the allreduce buffer, wire format
+// sampled_gram_and_dots() is the reference kernel of one outer
+// iteration: it computes the packed upper-triangular Gram of the view AND
+// the dot sections Yᵀx for each right-hand side directly into the
+// allreduce buffer, wire format
 //
 //   [ upper(G) | Yᵀx₀ | Yᵀx₁ | … ]
 //
 // (row-major upper triangle, then one length-k section per right-hand
 // side).  For sparse views the dots are fused into the same sweep that
 // forms the Gram rows; for dense views the kernel skips the gather/concat
-// copies and the pack_upper round-trip of the copy-based path.
+// copies and the pack_upper round-trip of the copy-based path.  The
+// solvers pack the same values chunk by chunk, one call per section
+// (sampled_gram_chunks / sampled_dots_chunks below).
 //
 // Bit-compatibility contract: the kernels here are the *only*
 // implementation of the batched Gram/dot arithmetic — VectorBatch::gram()
@@ -140,54 +142,41 @@ void sampled_gram_and_dots(const BatchView& y,
 void batch_dots(const BatchView& y, std::span<const double> x,
                 std::span<double> out);
 
-// Split entry points for the double-buffered round pipeline
-// (core/engine.hpp): a round's Gram triangle depends only on the data and
-// the coordinate draw, so it can be packed for round k+1 while round k's
-// reduction is in flight; the dot sections read residuals that round k's
-// apply updates, so they are packed afterwards.  Both wrap the kernels
-// above — sampled_gram(v, g) followed by sampled_dots(v, xs, d) writes
-// bit-identical values to one sampled_gram_and_dots(v, xs, [g | d]) call
-// (the dense fused path already routes its dot sections through
-// batch_dots, and the sparse fused row uses the same sequential
-// accumulation order; asserted by tests/la/test_batch_view.cpp).
+// Chunk-major entry points for the fixed reduction grouping
+// (common/grouping.hpp): one call writes the partials of every global
+// chunk a rank owns.  They are also the split pack path of the
+// double-buffered round pipeline (core/engine.hpp): a round's Gram
+// triangle depends only on the data and the coordinate draw, so it can be
+// packed for round k+1 while round k's reduction is in flight; the dot
+// sections read residuals that round k's apply updates, so they are
+// packed afterwards.  `bounds` holds the owned chunks' boundaries in the
+// view's coordinates (nc + 1 non-decreasing entries within [0, dim()]):
+// chunk c covers [bounds[c], bounds[c + 1]).  The partials go to a strided
+// run of wire slots: chunk c's section starts at out[c · stride], which is
+// how RoundMessage::chunk_section lays the chunk bodies side by side.
+//
+// Bit contract: chunk c's partial depends only on the member entries
+// inside its range, their order, and the kernels in this translation unit
+// — it equals sampled_gram_and_dots on a view of just those entries
+// (sparse members narrowed to their in-range nonzeros with absolute
+// indices; dense members shifted to the range) — so any two ranks, or
+// rank counts, that own the same global chunk produce identical bits.
+// Steady-state calls allocate nothing (grow-only thread-local scratch,
+// sized by the first, largest round) and fork at most one OpenMP team.
 
-/// Packed upper-triangular Gram of the view alone: out must have
-/// k(k+1)/2 entries (== fused_buffer_size(size(), 0)).
-void sampled_gram(const BatchView& y, std::span<double> out);
+/// Packed Gram partial of each chunk: out[c·stride, c·stride + k(k+1)/2)
+/// for c < nc.  Entries between the chunk sections are left untouched.
+void sampled_gram_chunks(const BatchView& y,
+                         std::span<const std::size_t> bounds,
+                         std::size_t stride, std::span<double> out);
 
-/// The dot sections alone: out = [Yᵀxs[0] | Yᵀxs[1] | …], one length-k
-/// section per right-hand side (out.size() == xs.size() · size()).
-void sampled_dots(const BatchView& y,
-                  std::span<const std::span<const double>> xs,
-                  std::span<double> out);
-
-// Per-global-chunk entry points for the fixed reduction grouping
-// (common/grouping.hpp): the same kernels, restricted to coordinate range
-// [begin, end) of the shared dimension.  The restricted view's descriptor
-// arrays are built in `scratch` — a Workspace DISTINCT from the one that
-// built `y`, because the named descriptor pools hand out one buffer per
-// Workspace — so steady-state calls allocate nothing.  Bit contract: a
-// chunk partial depends only on the member values inside [begin, end),
-// their order, and the kernels in this translation unit, so any two ranks
-// (or rank counts) that own the same global chunk produce identical bits.
-
-/// Maximum number of right-hand sides sampled_dots_range accepts (the
-/// solvers use at most two).
-inline constexpr std::size_t kMaxDotSections = 4;
-
-/// Packed Gram of the view restricted to [begin, end): out must have
-/// k(k+1)/2 entries.
-void sampled_gram_range(const BatchView& y, std::size_t begin,
-                        std::size_t end, Workspace& scratch,
-                        std::span<double> out);
-
-/// Dot sections of the view restricted to [begin, end): for dense views
-/// the right-hand sides are narrowed to the same range; for sparse views
-/// the members keep their absolute indices (which gather through the FULL
-/// right-hand sides), so pass xs whole either way.
-void sampled_dots_range(const BatchView& y,
-                        std::span<const std::span<const double>> xs,
-                        std::size_t begin, std::size_t end,
-                        Workspace& scratch, std::span<double> out);
+/// Dot-section partials of each chunk: out[c·stride + sct·k + i] =
+/// (member i restricted to chunk c) · xs[sct].  Every xs[sct] has length
+/// dim(); dense members read the same range of it, sparse members gather
+/// through it with their absolute indices.
+void sampled_dots_chunks(const BatchView& y,
+                         std::span<const std::span<const double>> xs,
+                         std::span<const std::size_t> bounds,
+                         std::size_t stride, std::span<double> out);
 
 }  // namespace sa::la

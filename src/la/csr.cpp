@@ -118,15 +118,11 @@ void CsrMatrix::spmv(std::span<const double> x, std::span<double> y) const {
   // above it).  Small matrices stay serial to avoid fork cost.
   const bool parallel = 2 * nnz() >= kParallelFlopThreshold && rows_ > 1;
   const simd::KernelTable& kt = simd::active();
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 64) if (parallel)
-#endif
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(rows_); ++i) {
+  parallel_for(rows_, parallel, [&](std::size_t i) {
     const std::size_t begin = indptr_[i];
     y[i] = kt.gather_dot2(values_.data() + begin, indices_.data() + begin,
                           indptr_[i + 1] - begin, x.data());
-  }
-  (void)parallel;
+  });
 }
 
 void CsrMatrix::spmv_col_range(std::span<const double> x,

@@ -10,12 +10,36 @@
 #include <span>
 #include <vector>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 namespace sa::la {
 
 /// Minimum flop count before a kernel forks an OpenMP team.  Shared by
 /// every parallel kernel in the layer (Gram, dot_all, spmv) so they all
 /// cross from serial to threaded at the same work size.
 inline constexpr std::size_t kParallelFlopThreshold = std::size_t{1} << 19;
+
+/// Runs body(t) for every t in [0, n): inside one OpenMP parallel loop
+/// (guided schedule) when `parallel` is set and more than one thread is
+/// available, and as a plain loop otherwise — then no region is entered
+/// at all, not even an `if(false)` one, which costs a team hand-off on
+/// every call.  Each body call must write disjoint outputs, so the
+/// results are identical either way.
+template <typename Body>
+void parallel_for(std::size_t n, bool parallel, Body&& body) {
+#ifdef _OPENMP
+  if (parallel && omp_get_max_threads() > 1) {
+#pragma omp parallel for schedule(guided)
+    for (std::ptrdiff_t t = 0; t < static_cast<std::ptrdiff_t>(n); ++t)
+      body(static_cast<std::size_t>(t));
+    return;
+  }
+#endif
+  (void)parallel;
+  for (std::size_t t = 0; t < n; ++t) body(t);
+}
 
 /// Returns the dot product  x' * y.  Both spans must have equal length.
 double dot(std::span<const double> x, std::span<const double> y);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "common/annotate.hpp"
+#include "common/grouping.hpp"
 #include "core/cd_lasso.hpp"
 #include "core/group_lasso.hpp"
 #include "core/registry.hpp"
@@ -20,6 +21,7 @@
 #include "core/sa_svm.hpp"
 #include "core/svm.hpp"
 #include "data/synthetic.hpp"
+#include "dist/thread_comm.hpp"
 
 namespace {
 
@@ -218,6 +220,80 @@ TEST(SteadyState, ClassicalSvmAllocatesOnlyInTheFirstIteration) {
   const std::size_t one_iteration = run(1);
   const std::size_t many_iterations = run(41);
   EXPECT_EQ(many_iterations, one_iteration);
+}
+
+// The same property at P = 2 through the facade, on a G = 64 grid so
+// each rank owns 32 chunks: the chunk-major pack kernels size their
+// per-chunk scratch (member segments, or shifted row pointers) in the
+// first round, and every later round reuses it.  One persistent team runs every solve, so the
+// ranks' thread-local kernel scratch is warm after the first call.
+std::size_t two_rank_allocations(dist::ThreadTeam& team,
+                                 const data::Dataset& d,
+                                 const SolverSpec& spec) {
+  const data::Partition part = partition_for_ranks(d, spec, team.size());
+  return allocations_during([&] {
+    team.run([&](dist::ThreadComm& comm) {
+      make_solver(comm, d, part, spec)->run();
+    });
+  });
+}
+
+// Density 0.05 packs sparse views (the segment table); 0.3 crosses
+// kDenseBatchThreshold and packs dense ones (the shifted-row table).
+TEST(SteadyState, TwoRankSaLassoAllocatesOnlyInTheFirstRound) {
+  dist::ThreadTeam team(2);
+  for (const double density : {0.05, 0.3}) {
+    data::RegressionConfig cfg;
+    cfg.num_points = 128;  // 64 chunks of 2 rows
+    cfg.num_features = 32;
+    cfg.density = density;
+    cfg.support_size = 6;
+    cfg.seed = 17;
+    const data::Dataset d = data::make_regression(cfg).dataset;
+    for (const bool accelerated : {false, true}) {
+      SolverSpec spec = SolverSpec::make("sa-lasso");
+      spec.lambda = 0.05;
+      spec.block_size = 2;
+      spec.s = 4;
+      spec.accelerated = accelerated;
+      spec.reduction_chunk = 2;
+      spec.trace_every = 0;
+      ASSERT_EQ(common::ReduceGrouping::make(128, 2).num_chunks(), 64u);
+      spec.max_iterations = 4;
+      two_rank_allocations(team, d, spec);  // warm the ranks' scratch
+      const std::size_t one_round = two_rank_allocations(team, d, spec);
+      spec.max_iterations = 84;
+      const std::size_t many_rounds = two_rank_allocations(team, d, spec);
+      EXPECT_EQ(many_rounds, one_round)
+          << "density " << density << (accelerated ? " accelerated" : " plain")
+          << ": 20 extra rounds at P = 2 must not allocate";
+    }
+  }
+}
+
+TEST(SteadyState, TwoRankSvmAllocatesOnlyInTheFirstRound) {
+  dist::ThreadTeam team(2);
+  for (const double density : {0.05, 0.3}) {
+    data::ClassificationConfig cfg;
+    cfg.num_points = 60;
+    cfg.num_features = 128;  // 64 chunks of 2 features
+    cfg.density = density;
+    cfg.seed = 23;
+    const data::Dataset d = data::make_classification(cfg);
+    SolverSpec spec = SolverSpec::make("svm");
+    spec.lambda = 1.0;
+    spec.loss = SvmLoss::kL2;
+    spec.reduction_chunk = 2;
+    spec.trace_every = 0;
+    spec.max_iterations = 1;
+    two_rank_allocations(team, d, spec);
+    const std::size_t one_round = two_rank_allocations(team, d, spec);
+    spec.max_iterations = 41;
+    const std::size_t many_rounds = two_rank_allocations(team, d, spec);
+    EXPECT_EQ(many_rounds, one_round)
+        << "density " << density
+        << ": 40 extra rounds at P = 2 must not allocate";
+  }
 }
 
 }  // namespace

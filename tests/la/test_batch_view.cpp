@@ -2,7 +2,9 @@
 // sampled_gram_and_dots() must be BIT-identical to the copy-based
 // gather_columns + concat + gram + pack_upper + dot_all path it replaces,
 // on both storage kinds (sparse CSC views and densified staging) and for
-// both solver modes (accelerated = two dot sections, plain = one).
+// both solver modes (accelerated = two dot sections, plain = one); the
+// chunk-major pack kernels must reproduce it chunk by chunk.
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -139,14 +141,112 @@ TEST_P(StoragePairSweep, SplitGramAndDotsBitIdenticalToFusedKernel) {
       std::vector<std::span<const double>> xs(xs_vecs.begin(),
                                               xs_vecs.end());
       std::vector<double> got(tri + sections * k);
-      sampled_gram(view, std::span<double>(got.data(), tri));
-      sampled_dots(view, xs,
-                   std::span<double>(got.data() + tri, sections * k));
+      const std::array<std::size_t, 2> whole{0, view.dim()};
+      sampled_gram_chunks(view, whole, got.size(), got);
+      sampled_dots_chunks(view, xs, whole, got.size(),
+                          std::span<double>(got).subspan(tri));
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t i = 0; i < want.size(); ++i)
         EXPECT_EQ(got[i], want[i])
             << "entry " << i << " blocks " << blocks << " sections "
             << sections;
+    }
+  }
+}
+
+/// The view of chunk [b, e) alone, built the slow way: sparse members
+/// narrowed to their in-range nonzeros by binary search (absolute indices
+/// kept), dense members shifted to the range.
+BatchView chunk_view(const BatchView& y, std::size_t b, std::size_t e,
+                     std::vector<std::span<const std::size_t>>& idx,
+                     std::vector<std::span<const double>>& val,
+                     std::vector<const double*>& rows) {
+  const std::size_t k = y.size();
+  if (y.is_dense()) {
+    rows.resize(k);
+    for (std::size_t i = 0; i < k; ++i) rows[i] = y.row_pointers()[i] + b;
+    return BatchView::dense(rows, e - b);
+  }
+  idx.resize(k);
+  val.resize(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::span<const std::size_t> mi = y.member_indices(i);
+    const auto lo = static_cast<std::size_t>(
+        std::lower_bound(mi.begin(), mi.end(), b) - mi.begin());
+    const auto hi = static_cast<std::size_t>(
+        std::lower_bound(mi.begin(), mi.end(), e) - mi.begin());
+    idx[i] = mi.subspan(lo, hi - lo);
+    val[i] = y.member_values(i).subspan(lo, hi - lo);
+  }
+  return BatchView::sparse(idx, val, y.dim());
+}
+
+// The chunk-major pack kernels write every owned chunk's partial in one
+// call.  Each partial must be bitwise the fused kernel on that chunk's
+// sub-slices, for k ∈ {1, 8, 128}, on grids with empty chunks, and on a
+// rank slice that starts mid-grid (and mid-chunk); the words between the
+// strided chunk sections must stay untouched.
+TEST_P(StoragePairSweep, ChunkPartialsBitIdenticalToFusedKernelPerChunk) {
+  const data::Dataset d = make_dataset(GetParam(), 31);
+  // Rank 1 of a split at row 37: its slice is global rows [37, 120).
+  const data::Partition rows({0, 37, d.num_points()});
+  const core::RowBlock block(d, rows, 1);
+  const std::size_t m = block.local_rows();
+  ASSERT_EQ(m, 83u);
+  const std::array<std::vector<double>, 2> rhs{random_vector(m, 21),
+                                               random_vector(m, 22)};
+
+  // Slice-local chunk boundaries.  Grid 1: a global grid of 10-row chunks
+  // clipped to the slice (a 3-row head chunk, then whole chunks).  Grid 2:
+  // empty chunks at the front, middle and end.  Grid 3: one chunk.
+  const std::vector<std::vector<std::size_t>> grids{
+      {0, 3, 13, 23, 33, 43, 53, 63, 73, 83},
+      {0, 0, 5, 5, 5, 40, 41, 83, 83},
+      {0, 83}};
+  data::SplitMix64 rng(9);
+  Workspace ws;
+  for (const std::size_t k : {std::size_t{1}, std::size_t{8},
+                              std::size_t{128}}) {
+    // Members drawn with replacement (repeats allowed, as in SVM rounds).
+    std::vector<std::size_t> cols(k);
+    for (std::size_t& c : cols)
+      c = static_cast<std::size_t>(rng.next_below(d.num_features()));
+    const BatchView view = block.view_columns(cols, ws);
+    ASSERT_EQ(view.is_dense(), GetParam() > 0.1);
+    const std::size_t tri = core::detail::triangle_size(k);
+    for (const std::size_t sections : {std::size_t{1}, std::size_t{2}}) {
+      const std::vector<std::span<const double>> xs(rhs.begin(),
+                                                    rhs.begin() + sections);
+      const std::size_t stride = tri + sections * k + 3;  // gap of 3
+      for (const std::vector<std::size_t>& bounds : grids) {
+        const std::size_t nc = bounds.size() - 1;
+        std::vector<double> wire(nc * stride, 7.0);
+        sampled_gram_chunks(view, bounds, stride, wire);
+        sampled_dots_chunks(view, xs, bounds, stride,
+                            std::span<double>(wire).subspan(tri));
+
+        std::vector<std::span<const std::size_t>> idx;
+        std::vector<std::span<const double>> val;
+        std::vector<const double*> ptrs;
+        for (std::size_t c = 0; c < nc; ++c) {
+          const std::size_t b = bounds[c];
+          const std::size_t e = bounds[c + 1];
+          const BatchView sub = chunk_view(view, b, e, idx, val, ptrs);
+          // Dense sub-views read the same range of the right-hand sides;
+          // sparse ones gather through them whole.
+          std::vector<std::span<const double>> sub_xs;
+          for (const std::span<const double>& x : xs)
+            sub_xs.push_back(view.is_dense() ? x.subspan(b, e - b) : x);
+          std::vector<double> want(fused_buffer_size(k, sections));
+          sampled_gram_and_dots(sub, sub_xs, want);
+          for (std::size_t w = 0; w < want.size(); ++w)
+            ASSERT_EQ(wire[c * stride + w], want[w])
+                << "k " << k << " sections " << sections << " chunk " << c
+                << " [" << b << ", " << e << ") entry " << w;
+          for (std::size_t w = want.size(); w < stride; ++w)
+            ASSERT_EQ(wire[c * stride + w], 7.0) << "gap word overwritten";
+        }
+      }
     }
   }
 }

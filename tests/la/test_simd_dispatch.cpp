@@ -183,7 +183,8 @@ std::vector<double> run_fused(const data::Dataset& d, Workspace& ws) {
   return buffer;
 }
 
-/// Same draw through the split entry points (pipeline packing order).
+/// Same draw through the split chunk-major entry points (pipeline
+/// packing order), on a single chunk.
 std::vector<double> run_split(const data::Dataset& d, Workspace& ws) {
   const core::RowBlock block(d, data::Partition::block(d.num_points(), 1),
                              0);
@@ -199,9 +200,10 @@ std::vector<double> run_split(const data::Dataset& d, Workspace& ws) {
   const std::size_t k = view.size();
   const std::size_t tri = k * (k + 1) / 2;
   std::vector<double> buffer(fused_buffer_size(k, xs.size()));
-  sampled_gram(view, std::span<double>(buffer.data(), tri));
-  sampled_dots(view, xs,
-               std::span<double>(buffer.data() + tri, xs.size() * k));
+  const std::array<std::size_t, 2> whole{0, view.dim()};
+  sampled_gram_chunks(view, whole, buffer.size(), buffer);
+  sampled_dots_chunks(view, xs, whole, buffer.size(),
+                      std::span<double>(buffer).subspan(tri));
   return buffer;
 }
 
