@@ -1,10 +1,11 @@
-// The paper's figures from ONE registry-driven driver.
+// The paper's figures and tables from ONE driver.
 //
-//   bench_figures [convergence|runtime|scaling|overlap|all] [--smoke]
-//                 [--json out.json]
+//   bench_figures [convergence|runtime|scaling|overlap|table1|table3|
+//                  table5|ablation|all] [--smoke] [--json out.json]
 //
-// Every series is produced through the Solver facade by iterating
-// core::registered_algorithms() — no per-figure solver plumbing:
+// Every solve goes through the Solver facade (SolverSpec); the figure
+// series iterate core::registered_algorithms() — no per-figure solver
+// plumbing:
 //
 //   convergence  objective / duality-gap vs iteration for every registered
 //                id (paper Figures 2 and 5), plus the SA-vs-classical
@@ -17,7 +18,14 @@
 //   overlap      measured wall time and per-phase seconds for the
 //                double-buffered round pipeline vs the unpipelined loop,
 //                every id on 4 thread-backed ranks, with the fraction of
-//                the reduce-wait the overlap hid.
+//                the reduce-wait the overlap hid;
+//   table1       Table I leading-order F/M/L/W costs, swept over s;
+//   table3       Table III final relative objective error of SA vs
+//                classical lasso at s = 1000 (machine precision expected);
+//   table5       Table V SA-SVM-L1 modelled speedups at the paper's
+//                (dataset, P) points, from metered 2-rank runs;
+//   ablation     drift vs s, modelled best s vs machine latency, and the
+//                µ-vs-s speedup interaction.
 //
 // --json PATH additionally writes every series the selected figures
 // produced as one machine-readable JSON document (plotting scripts and CI
@@ -31,18 +39,27 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/objective.hpp"
 #include "core/registry.hpp"
 #include "data/synthetic.hpp"
+#include "dist/thread_comm.hpp"
+#include "la/vector_ops.hpp"
+#include "perf/costs.hpp"
 #include "perf/scaling.hpp"
 
 namespace {
 
 using sa::core::SolveResult;
 using sa::core::SolverSpec;
+
+// The metered runs (runtime, table5) execute on this many thread-backed
+// ranks; their counters are rescaled to the paper's processor counts.
+constexpr int kMeasuredRanks = 2;
 
 struct Config {
   bool smoke = false;
@@ -239,7 +256,6 @@ void run_runtime(const Config& cfg, JsonSink& json) {
       "priced on the Cray XC30-like machine.\nExpected shape: sa-* ids "
       "faster than their classical counterparts.");
 
-  constexpr int kMeasuredRanks = 2;
   struct Row {
     std::string id;
     double seconds = 0.0;
@@ -416,6 +432,391 @@ void run_overlap(const Config& cfg, JsonSink& json) {
   json.add("overlap", jarr(items));
 }
 
+// ---------------------------------------------------------------------
+// table1 — Table I theoretical costs
+// ---------------------------------------------------------------------
+
+std::string jcosts(const sa::perf::Costs& c) {
+  return "\"flops\":" + jnum(c.flops) + ",\"memory\":" + jnum(c.memory) +
+         ",\"latency\":" + jnum(c.latency) +
+         ",\"bandwidth\":" + jnum(c.bandwidth);
+}
+
+/// Leading-order F/M/L/W of accBCD vs SA-accBCD on a representative
+/// problem, swept over s to exhibit L_SA = L/s, W_SA = s·W and
+/// F_SA ≈ s·F_gram + F_sub.  Pure formulas, so smoke mode is the same.
+void run_table1(const Config& /*cfg*/, JsonSink& json) {
+  sa::bench::print_header(
+      "Table I — theoretical costs along the critical path",
+      "F (flops), M (words/processor), L (messages), W (words moved) for "
+      "accBCD vs SA-accBCD.");
+
+  sa::perf::BcdParams p;
+  p.iterations = 1000;   // H
+  p.block_size = 8;      // µ
+  p.density = 0.01;      // f
+  p.rows = 1 << 20;      // m
+  p.cols = 1 << 15;      // n
+  p.processors = 1024;   // P
+
+  std::printf("problem: H=%zu, mu=%zu, f=%.3g, m=%zu, n=%zu, P=%d\n\n",
+              p.iterations, p.block_size, p.density, p.rows, p.cols,
+              p.processors);
+
+  std::vector<std::string> items;
+  const sa::perf::Costs ref = sa::perf::accbcd_costs(p);
+  std::printf("%-14s %14s %14s %14s %14s\n", "algorithm", "F", "M", "L",
+              "W");
+  std::printf("%-14s %14.4g %14.4g %14.4g %14.4g\n", "accBCD", ref.flops,
+              ref.memory, ref.latency, ref.bandwidth);
+  items.push_back("{\"algorithm\":\"accBCD\",\"s\":1," + jcosts(ref) + "}");
+
+  for (std::size_t s : {2, 4, 8, 16, 32, 64, 128}) {
+    sa::perf::BcdParams q = p;
+    q.s = s;
+    const sa::perf::Costs sa = sa::perf::sa_accbcd_costs(q);
+    std::printf("SA-accBCD s=%-3zu %13.4g %14.4g %14.4g %14.4g"
+                "   (L/s ratio %.1f, W ratio %.1f)\n",
+                s, sa.flops, sa.memory, sa.latency, sa.bandwidth,
+                ref.latency / sa.latency, sa.bandwidth / ref.bandwidth);
+    items.push_back("{\"algorithm\":\"SA-accBCD\",\"s\":" +
+                    jnum(static_cast<double>(s)) + "," + jcosts(sa) + "}");
+  }
+
+  std::printf("\nSVM analogue (Algorithm 3 vs 4):\n");
+  sa::perf::SvmParams sp;
+  sp.iterations = 10000;
+  sp.density = 0.05;
+  sp.rows = 100000;
+  sp.cols = 20000;
+  sp.processors = 512;
+  const sa::perf::Costs svm_ref = sa::perf::svm_costs(sp);
+  std::printf("%-14s %14.4g %14.4g %14.4g %14.4g\n", "SVM", svm_ref.flops,
+              svm_ref.memory, svm_ref.latency, svm_ref.bandwidth);
+  items.push_back("{\"algorithm\":\"SVM\",\"s\":1," + jcosts(svm_ref) + "}");
+  for (std::size_t s : {16, 64, 256}) {
+    sa::perf::SvmParams q = sp;
+    q.s = s;
+    const sa::perf::Costs sa = sa::perf::sa_svm_costs(q);
+    std::printf("SA-SVM s=%-5zu %14.4g %14.4g %14.4g %14.4g\n", s, sa.flops,
+                sa.memory, sa.latency, sa.bandwidth);
+    items.push_back("{\"algorithm\":\"SA-SVM\",\"s\":" +
+                    jnum(static_cast<double>(s)) + "," + jcosts(sa) + "}");
+  }
+  std::printf("\nExpected scalings hold: latency / s, bandwidth x s, "
+              "Gram flops x s, memory + (s*mu)^2 buffer.\n");
+  json.add("table1", jarr(items));
+}
+
+// ---------------------------------------------------------------------
+// table3 — Table III numerical stability
+// ---------------------------------------------------------------------
+
+/// Final objective of a serial lasso (s == 0) or sa-lasso solve.
+double lasso_final_objective(const sa::data::Dataset& d, std::size_t mu,
+                             bool accelerated, std::size_t s,
+                             std::size_t h) {
+  SolverSpec spec = SolverSpec::make(s == 0 ? "lasso" : "sa-lasso")
+                        .with_lambda(0.05)
+                        .with_block_size(mu)
+                        .with_acceleration(accelerated)
+                        .with_max_iterations(h)
+                        .with_trace_every(h)
+                        .with_seed(7);
+  if (s > 0) spec.with_s(s);
+  return sa::core::solve(d, spec).final_objective();
+}
+
+/// |f_nonSA − f_SA| / f_nonSA of the SA methods at s = 1000 on the leu,
+/// covtype and news20 twins.  The paper reports every entry at machine
+/// precision.  Smoke mode shrinks the twins and H.
+void run_table3(const Config& cfg, JsonSink& json) {
+  sa::bench::print_header(
+      "Table III — final relative objective error, SA vs non-SA (s = 1000)",
+      "Paper reports every entry at machine precision (eps = 2.2e-16).");
+
+  struct Row {
+    const char* method;
+    std::size_t mu;
+    bool acc;
+  };
+  const std::vector<Row> rows = {
+      {"SA-accCD", 1, true},
+      {"SA-CD", 1, false},
+      {"SA-accBCD (mu=8)", 8, true},
+      {"SA-BCD (mu=8)", 8, false},
+  };
+
+  struct Ds {
+    sa::data::PaperDataset which;
+    double shrink;
+    std::size_t h;
+  };
+  const std::vector<Ds> datasets = {
+      {sa::data::PaperDataset::kLeu, 8.0, 500},
+      {sa::data::PaperDataset::kCovtype, 1200.0, 400},
+      {sa::data::PaperDataset::kNews20, 60.0, 500},
+  };
+  // Smoke mode: ten times smaller twins and H.
+  const std::size_t scale = cfg.smoke ? 10 : 1;
+
+  std::printf("%-20s", "method");
+  std::vector<sa::data::Dataset> twins;
+  std::vector<std::string> names;
+  for (const Ds& ds : datasets) {
+    twins.push_back(sa::data::make_paper_twin(
+        ds.which, ds.shrink * static_cast<double>(scale)));
+    names.push_back(jstr(twins.back().name));
+    std::printf("  %16s", twins.back().name.c_str());
+  }
+  std::printf("\n");
+
+  double worst = 0.0;
+  std::vector<std::string> items;
+  for (const Row& row : rows) {
+    std::printf("%-20s", row.method);
+    std::vector<std::string> errors;
+    for (std::size_t k = 0; k < datasets.size(); ++k) {
+      const std::size_t h = datasets[k].h / scale;
+      const double f_ref =
+          lasso_final_objective(twins[k], row.mu, row.acc, 0, h);
+      const double f_sa =
+          lasso_final_objective(twins[k], row.mu, row.acc, 1000, h);
+      const double err = sa::core::relative_objective_error(f_ref, f_sa);
+      worst = std::max(worst, err);
+      errors.push_back(jnum(err));
+      std::printf("  %16.4e", err);
+    }
+    std::printf("\n");
+    items.push_back("{\"method\":" + jstr(row.method) +
+                    ",\"relative_errors\":" + jarr(errors) + "}");
+  }
+  std::printf("\nmachine epsilon = 2.2e-16;  worst entry = %.4e  (%s)\n",
+              worst,
+              worst < 1e-12 ? "PASS: numerically stable"
+                            : "WARN: above expected precision band");
+  json.add("table3", "{\"datasets\":" + jarr(names) +
+                         ",\"rows\":" + jarr(items) +
+                         ",\"worst_relative_error\":" + jnum(worst) + "}");
+}
+
+// ---------------------------------------------------------------------
+// table5 — Table V SA-SVM speedups
+// ---------------------------------------------------------------------
+
+/// Metered counters of an L1 svm (s == 0) or sa-svm solve on a
+/// kMeasuredRanks thread team over a plain block column partition.
+sa::dist::CommStats run_svm_metered(const sa::data::Dataset& d,
+                                    std::size_t s, std::size_t h) {
+  SolverSpec spec = SolverSpec::make(s == 0 ? "svm" : "sa-svm")
+                        .with_lambda(1.0)
+                        // the paper solves the harder L1 loss
+                        .with_loss(sa::core::SvmLoss::kL1)
+                        .with_max_iterations(h)
+                        .with_seed(3);
+  if (s > 0) spec.with_s(s);
+
+  const sa::data::Partition cols =
+      sa::data::Partition::block(d.num_features(), kMeasuredRanks);
+  sa::dist::CommStats out;
+  std::mutex lock;
+  sa::dist::run_distributed(
+      kMeasuredRanks, [&](sa::dist::Communicator& comm) {
+        const SolveResult r =
+            sa::core::make_solver(comm, d, cols, spec)->run();
+        if (comm.rank() == 0) {
+          std::scoped_lock guard(lock);
+          out = r.trace.final_stats;
+        }
+      });
+  return out;
+}
+
+/// SA-SVM-L1 modelled time and speedup over SVM-L1 at the paper's
+/// (dataset, P) points, with an s sweep reporting the best setting.  Both
+/// solvers run for real on 2 ranks (a fixed iteration budget stands in for
+/// the paper's duality-gap-1e-1 budget); the metered counters are rescaled
+/// to the target P and priced on the XC30-like machine.  The paper reports
+/// 1.4× (rcv1), 2.1× (news20) and 4× (gisette), best s in 64–128.
+void run_table5(const Config& cfg, JsonSink& json) {
+  sa::bench::print_header(
+      "Table V — SA-SVM-L1 speedups over SVM-L1 at paper scale",
+      "Metered 2-rank runs rescaled to the paper's P and priced on an "
+      "XC30-like machine.\nExpected: best-s speedups in the paper's "
+      "1.4x-4x band, larger for denser/bigger problems.");
+
+  struct Point {
+    sa::data::PaperDataset which;
+    double shrink;
+    int target_p;
+    std::size_t h;
+  };
+  const std::vector<Point> points = {
+      {sa::data::PaperDataset::kNews20Binary, 800.0, 576, 4000},
+      {sa::data::PaperDataset::kRcv1Binary, 40.0, 240, 4000},
+      {sa::data::PaperDataset::kGisette, 10.0, 3072, 3000},
+  };
+  // Smoke mode: ten times smaller twins and H.
+  const std::size_t scale = cfg.smoke ? 10 : 1;
+
+  std::vector<std::string> items;
+  for (const Point& pt : points) {
+    const sa::data::Dataset d = sa::data::make_paper_twin(
+        pt.which, pt.shrink * static_cast<double>(scale), 42,
+        /*force_classification=*/true);
+    const std::size_t h = pt.h / scale;
+    std::printf("\n--- %s twin @ P=%d: %zu x %zu, %.3f%% nnz ---\n",
+                d.name.c_str(), pt.target_p, d.num_points(),
+                d.num_features(), 100.0 * d.density());
+
+    const double ref_seconds = sa::bench::modelled_seconds(
+        run_svm_metered(d, 0, h), kMeasuredRanks, pt.target_p);
+    std::printf("%-16s %14.4fs\n", "SVM-L1", ref_seconds);
+
+    double best_speedup = 0.0;
+    std::size_t best_s = 0;
+    std::vector<std::string> sweep;
+    for (std::size_t s : {16, 32, 64, 128, 256}) {
+      const double seconds = sa::bench::modelled_seconds(
+          run_svm_metered(d, s, h), kMeasuredRanks, pt.target_p);
+      const double speedup = ref_seconds / seconds;
+      std::printf("SA-SVM-L1 s=%-4zu %14.4fs  (%.2fx)\n", s, seconds,
+                  speedup);
+      sweep.push_back("{\"s\":" + jnum(static_cast<double>(s)) +
+                      ",\"modelled_seconds\":" + jnum(seconds) +
+                      ",\"speedup\":" + jnum(speedup) + "}");
+      if (speedup > best_speedup) {
+        best_speedup = speedup;
+        best_s = s;
+      }
+    }
+    std::printf("best: s=%zu at %.2fx (paper Table V reports 1.4x-4x)\n",
+                best_s, best_speedup);
+    items.push_back("{\"dataset\":" + jstr(d.name) +
+                    ",\"processors\":" + jnum(pt.target_p) +
+                    ",\"svm_seconds\":" + jnum(ref_seconds) +
+                    ",\"sweep\":" + jarr(sweep) +
+                    ",\"best_s\":" + jnum(static_cast<double>(best_s)) +
+                    ",\"best_speedup\":" + jnum(best_speedup) + "}");
+  }
+  json.add("table5", jarr(items));
+}
+
+// ---------------------------------------------------------------------
+// ablation — the s / µ / machine tradeoffs behind the SA design
+// ---------------------------------------------------------------------
+
+/// Three studies beyond the paper's figures:
+///   1. numerical drift vs s — max relative deviation of the SA iterate
+///      from the non-SA iterate as s grows (extends Table III);
+///   2. modelled best-s crossover vs machine latency — how the optimal
+///      unrolling depth moves from shared memory to Ethernet (the paper's
+///      Spark remark in §VII);
+///   3. µ-vs-s interaction — total speedup of (µ, s) pairs at fixed P:
+///      large µ already amortizes latency and leaves less for s to win.
+/// All three are cheap, so smoke mode is the same.
+void run_ablation(const Config& /*cfg*/, JsonSink& json) {
+  sa::bench::print_header(
+      "Ablation — s/mu/machine tradeoffs behind the SA design",
+      "Extends Table III and Figure 4 with drift-vs-s, best-s-vs-latency, "
+      "and mu-s interaction studies.");
+
+  std::printf("\n--- Ablation 1: numerical drift of SA iterates vs s ---\n");
+  sa::data::RegressionConfig rc;
+  rc.num_points = 96;
+  rc.num_features = 48;
+  rc.density = 0.3;
+  rc.support_size = 8;
+  rc.seed = 13;
+  const sa::data::Dataset d = sa::data::make_regression(rc).dataset;
+  SolverSpec base = SolverSpec::make("lasso")
+                        .with_lambda(0.05)
+                        .with_block_size(4)
+                        .with_acceleration(true)
+                        .with_max_iterations(256)
+                        .with_seed(5);
+  const SolveResult ref = sa::core::solve(d, base);
+  std::printf("%8s %24s\n", "s", "max rel iterate diff");
+  std::vector<std::string> drift;
+  for (std::size_t s : {1, 2, 4, 8, 16, 32, 64, 128, 256}) {
+    SolverSpec spec = base;
+    spec.algorithm = "sa-lasso";
+    spec.s = s;
+    const double diff =
+        sa::la::max_rel_diff(ref.x, sa::core::solve(d, spec).x);
+    std::printf("%8zu %24.3e\n", s, diff);
+    drift.push_back("{\"s\":" + jnum(static_cast<double>(s)) +
+                    ",\"max_rel_iterate_diff\":" + jnum(diff) + "}");
+  }
+  std::printf("(expected: all entries near machine precision — the paper's "
+              "stability claim)\n");
+
+  std::printf("\n--- Ablation 2: modelled best s vs machine latency ---\n");
+  sa::perf::BcdParams p;
+  p.iterations = 1000;
+  p.block_size = 1;
+  p.density = 0.01;
+  p.rows = 1 << 20;
+  p.cols = 1 << 15;
+  p.processors = 3072;
+  const std::vector<std::size_t> candidates{1,  2,  4,  8,   16,  32,
+                                            64, 128, 256, 512, 1024};
+  std::printf("%-16s %10s %10s\n", "machine", "alpha", "best s");
+  std::vector<std::string> machines;
+  for (const auto& machine :
+       {sa::dist::MachineParams::shared_memory(),
+        sa::dist::MachineParams::cray_xc30(),
+        sa::dist::MachineParams::ethernet_cluster()}) {
+    const std::size_t best = sa::perf::best_s_bcd(p, candidates, machine);
+    std::printf("%-16s %10.2e %10zu\n", machine.name.c_str(), machine.alpha,
+                best);
+    machines.push_back("{\"machine\":" + jstr(machine.name) +
+                       ",\"alpha\":" + jnum(machine.alpha) +
+                       ",\"best_s\":" + jnum(static_cast<double>(best)) +
+                       "}");
+  }
+  std::printf("(expected: best s grows with machine latency — the paper's "
+              "Spark/latency remark in Section VII)\n");
+
+  std::printf("\n--- Ablation 3: total speedup for (mu, s) pairs @ P=3072 "
+              "---\n");
+  std::printf("%8s", "mu\\s");
+  const std::vector<std::size_t> s_values{2, 8, 32, 128};
+  for (std::size_t s : s_values) std::printf(" %9zu", s);
+  std::printf("\n");
+  std::vector<std::string> pairs;
+  for (std::size_t mu : {1, 2, 4, 8, 16}) {
+    p.block_size = mu;
+    std::printf("%8zu", mu);
+    for (const auto& b : sa::perf::bcd_speedup_sweep(
+             p, s_values, sa::dist::MachineParams::cray_xc30())) {
+      std::printf(" %8.2fx", b.total);
+      pairs.push_back("{\"mu\":" + jnum(static_cast<double>(mu)) +
+                      ",\"s\":" + jnum(static_cast<double>(b.s)) +
+                      ",\"speedup\":" + jnum(b.total) + "}");
+    }
+    std::printf("\n");
+  }
+  std::printf("(expected: the larger mu is, the smaller the attainable SA "
+              "speedup — matches the accCD-vs-accBCD drop between the "
+              "paper's reported 2.8-5.1x and 1.2-4.4x ranges)\n");
+  json.add("ablation", "{\"drift\":" + jarr(drift) +
+                           ",\"best_s\":" + jarr(machines) +
+                           ",\"mu_s_speedup\":" + jarr(pairs) + "}");
+}
+
+// Every figure, in the order `all` runs them.
+struct Figure {
+  const char* name;
+  void (*run)(const Config&, JsonSink&);
+};
+constexpr Figure kFigures[] = {
+    {"convergence", run_convergence}, {"runtime", run_runtime},
+    {"scaling", run_scaling},         {"overlap", run_overlap},
+    {"table1", run_table1},           {"table3", run_table3},
+    {"table5", run_table5},           {"ablation", run_ablation},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -438,21 +839,20 @@ int main(int argc, char** argv) {
       figure = argv[i];
     }
   }
-  if (figure != "convergence" && figure != "runtime" && figure != "scaling" &&
-      figure != "overlap" && figure != "all") {
+  bool known = figure == "all";
+  for (const Figure& f : kFigures) known = known || figure == f.name;
+  if (!known) {
     std::fprintf(stderr,
                  "usage: bench_figures "
-                 "[convergence|runtime|scaling|overlap|all] [--smoke] "
-                 "[--json out.json]\n");
+                 "[convergence|runtime|scaling|overlap|table1|table3|table5|"
+                 "ablation|all] [--smoke] [--json out.json]\n");
     return 2;
   }
 
   JsonSink json;
   json.enabled = !json_path.empty();
-  if (figure == "convergence" || figure == "all") run_convergence(cfg, json);
-  if (figure == "runtime" || figure == "all") run_runtime(cfg, json);
-  if (figure == "scaling" || figure == "all") run_scaling(cfg, json);
-  if (figure == "overlap" || figure == "all") run_overlap(cfg, json);
+  for (const Figure& f : kFigures)
+    if (figure == "all" || figure == f.name) f.run(cfg, json);
 
   if (json.enabled) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");

@@ -15,7 +15,6 @@
 #include <omp.h>
 #endif
 
-#include "core/detail.hpp"
 #include "core/local_data.hpp"
 #include "core/prox.hpp"
 #include "data/partition.hpp"
@@ -23,11 +22,9 @@
 #include "data/synthetic.hpp"
 #include "dist/thread_comm.hpp"
 #include "la/batch_view.hpp"
-#include "la/csc.hpp"
 #include "la/csr.hpp"
 #include "la/dense.hpp"
 #include "la/simd/simd.hpp"
-#include "la/vector_batch.hpp"
 #include "la/vector_ops.hpp"
 #include "la/workspace.hpp"
 
@@ -74,32 +71,38 @@ void BM_NaiveGram(benchmark::State& state) {
 }
 BENCHMARK(BM_NaiveGram)->Arg(8)->Arg(32)->Arg(64)->Arg(128);
 
-/// BLAS-3 path: the s×s Gram of the same vectors in one call (tiled SYRK
-/// with the 4×4 register micro-kernel).
+/// BLAS-3 path: the packed s×s Gram of the same vectors in one call
+/// (tiled SYRK with the 4×4 register micro-kernel).
 void BM_BatchedGram(benchmark::State& state) {
   const std::size_t s = state.range(0);
   const std::size_t m = 4096;
-  const sa::la::VectorBatch batch =
-      sa::la::VectorBatch::dense(random_dense(s, m, 1));
+  const sa::la::DenseMatrix a = random_dense(s, m, 1);
+  sa::la::Workspace ws;
+  const sa::la::BatchView view = sa::la::BatchView::of(a, ws);
+  std::vector<double> packed(sa::la::fused_buffer_size(s, 0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(batch.gram());
+    sa::la::sampled_gram_and_dots(view, {}, packed);
+    benchmark::DoNotOptimize(packed.data());
   }
   state.SetItemsProcessed(state.iterations() * s * (s + 1) / 2 * m);
 }
 BENCHMARK(BM_BatchedGram)->Arg(8)->Arg(32)->Arg(64)->Arg(128);
 
-/// dot_all OpenMP scaling: one large batch, swept over thread counts.
+/// batch_dots OpenMP scaling: one large batch, swept over thread counts.
 void BM_DotAllThreads(benchmark::State& state) {
 #ifdef _OPENMP
   omp_set_num_threads(static_cast<int>(state.range(0)));
 #endif
   const std::size_t k = 256;
   const std::size_t m = 8192;  // 2·k·m crosses the parallel threshold
-  const sa::la::VectorBatch batch =
-      sa::la::VectorBatch::dense(random_dense(k, m, 2));
+  const sa::la::DenseMatrix a = random_dense(k, m, 2);
+  sa::la::Workspace ws;
+  const sa::la::BatchView view = sa::la::BatchView::of(a, ws);
   std::vector<double> x(m, 1.0);
+  std::vector<double> dots(k);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(batch.dot_all(x));
+    sa::la::batch_dots(view, x, dots);
+    benchmark::DoNotOptimize(dots.data());
   }
   state.SetItemsProcessed(state.iterations() * k * m);
 #ifdef _OPENMP
@@ -135,23 +138,25 @@ void BM_SparseColumnGram(benchmark::State& state) {
   cfg.density = 0.01;
   cfg.support_size = 16;
   const sa::data::Dataset d = sa::data::make_regression(cfg).dataset;
-  const sa::la::CscMatrix csc(d.a);
-  std::vector<sa::la::SparseVector> cols;
-  for (std::size_t j = 0; j < k; ++j)
-    cols.push_back(csc.gather_column((j * 37) % d.num_features()));
-  const sa::la::VectorBatch batch =
-      sa::la::VectorBatch::sparse(std::move(cols), d.num_points());
-  for (auto _ : state) benchmark::DoNotOptimize(batch.gram());
+  const sa::core::RowBlock block(
+      d, sa::data::Partition::block(d.num_points(), 1), 0);
+  std::vector<std::size_t> cols(k);
+  for (std::size_t j = 0; j < k; ++j) cols[j] = (j * 37) % d.num_features();
+  sa::la::Workspace ws;
+  const sa::la::BatchView view = block.view_columns(cols, ws);
+  std::vector<double> packed(sa::la::fused_buffer_size(k, 0));
+  for (auto _ : state) {
+    sa::la::sampled_gram_and_dots(view, {}, packed);
+    benchmark::DoNotOptimize(packed.data());
+  }
 }
 BENCHMARK(BM_SparseColumnGram)->Arg(8)->Arg(64)->Arg(256);
 
 // ---------------------------------------------------------------------------
-// The per-outer-iteration Gram+dots stage of the s-step solvers, copy path
-// vs zero-copy fused path, at solver-realistic shapes (s blocks of µ
-// sampled columns, one residual dot section — the plain-mode wire format
-// [upper(G) | Yᵀr̃]).  Both variants sample identically; the difference is
-// purely gather_columns+concat+gram+pack_upper+dot_all versus
-// view_columns+sampled_gram_and_dots.
+// The per-outer-iteration Gram+dots stage of the s-step solvers at
+// solver-realistic shapes (s blocks of µ sampled columns, one residual dot
+// section — the plain-mode wire format [upper(G) | Yᵀr̃]):
+// view_columns + sampled_gram_and_dots.
 // ---------------------------------------------------------------------------
 
 sa::data::Dataset pipeline_dataset(double density) {
@@ -161,36 +166,6 @@ sa::data::Dataset pipeline_dataset(double density) {
   cfg.density = density;
   cfg.support_size = 16;
   return sa::data::make_regression(cfg).dataset;
-}
-
-void bench_gram_dots_copy(benchmark::State& state, double density) {
-  const std::size_t s = state.range(0);
-  const std::size_t mu = state.range(1);
-  const sa::data::Dataset d = pipeline_dataset(density);
-  const sa::core::RowBlock block(
-      d, sa::data::Partition::block(d.num_points(), 1), 0);
-  sa::data::CoordinateSampler sampler(d.num_features(), mu, 3);
-  std::vector<double> res(block.local_rows(), 1.0);
-  std::vector<std::size_t> cols(mu);
-  std::vector<double> buffer;
-  for (auto _ : state) {
-    std::vector<sa::la::VectorBatch> batches;
-    batches.reserve(s);
-    for (std::size_t t = 0; t < s; ++t) {
-      sampler.next_into(cols);
-      batches.push_back(block.gather_columns(cols));
-    }
-    const sa::la::VectorBatch big = sa::la::concat(batches);
-    const std::size_t k = big.size();
-    const std::size_t tri = sa::core::detail::triangle_size(k);
-    buffer.resize(tri + k);
-    sa::core::detail::pack_upper(big.gram(),
-                                 std::span<double>(buffer.data(), tri));
-    const std::vector<double> dots = big.dot_all(res);
-    std::copy(dots.begin(), dots.end(), buffer.begin() + tri);
-    benchmark::DoNotOptimize(buffer.data());
-  }
-  state.SetItemsProcessed(state.iterations() * s * mu);
 }
 
 void bench_gram_dots_view(benchmark::State& state, double density) {
@@ -217,27 +192,14 @@ void bench_gram_dots_view(benchmark::State& state, double density) {
   state.SetItemsProcessed(state.iterations() * s * mu);
 }
 
-// news20-like density: the regime where the paper's SA solvers live and
-// where per-iteration copies are the dominant non-Gram cost.
-void BM_SparseGramDotsCopy(benchmark::State& state) {
-  bench_gram_dots_copy(state, 0.002);
-}
+// news20-like density: the regime where the paper's SA solvers live.
 void BM_SparseGramDotsView(benchmark::State& state) {
   bench_gram_dots_view(state, 0.002);
-}
-void BM_DenseGramDotsCopy(benchmark::State& state) {
-  bench_gram_dots_copy(state, 0.5);
 }
 void BM_DenseGramDotsView(benchmark::State& state) {
   bench_gram_dots_view(state, 0.5);
 }
-BENCHMARK(BM_SparseGramDotsCopy)
-    ->Args({1, 8})->Args({4, 8})->Args({16, 8})
-    ->Args({1, 64})->Args({4, 64})->Args({16, 64});
 BENCHMARK(BM_SparseGramDotsView)
-    ->Args({1, 8})->Args({4, 8})->Args({16, 8})
-    ->Args({1, 64})->Args({4, 64})->Args({16, 64});
-BENCHMARK(BM_DenseGramDotsCopy)
     ->Args({1, 8})->Args({4, 8})->Args({16, 8})
     ->Args({1, 64})->Args({4, 64})->Args({16, 64});
 BENCHMARK(BM_DenseGramDotsView)

@@ -1,7 +1,7 @@
-// Shared helpers for the table/figure reproduction benchmarks.
+// Helpers for bench_figures, the table/figure reproduction driver.
 //
-// Every bench binary prints a self-describing report: which paper artifact
-// it regenerates, the workload (twin) it ran, and the measured/modelled
+// Every figure prints a self-describing report: which paper artifact it
+// regenerates, the workload (twin) it ran, and the measured/modelled
 // series.  Times on the paper's processor counts are obtained by metering
 // a real P = 2 thread-team execution and rescaling the counters to the
 // target P (tree collectives scale with log2 P; data-parallel flops scale
@@ -12,7 +12,6 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "dist/comm.hpp"
 #include "dist/cost_model.hpp"
@@ -64,7 +63,7 @@ inline double modelled_seconds(const dist::CommStats& stats, int measured_p,
   return dist::price(scaled, machine).total_seconds();
 }
 
-/// Report header shared by every bench binary.
+/// Report header shared by every figure.
 inline void print_header(const std::string& artifact,
                          const std::string& description) {
   std::printf("==============================================================="
@@ -73,31 +72,6 @@ inline void print_header(const std::string& artifact,
   std::printf("%s\n", description.c_str());
   std::printf("==============================================================="
               "=================\n");
-}
-
-/// One labelled numeric series (e.g. objective vs iteration for a method).
-struct Series {
-  std::string label;
-  std::vector<double> values;
-};
-
-/// Prints series as columns under an index column.
-inline void print_series_table(const std::string& index_name,
-                               const std::vector<double>& index,
-                               const std::vector<Series>& series) {
-  std::printf("%14s", index_name.c_str());
-  for (const Series& s : series) std::printf("  %22s", s.label.c_str());
-  std::printf("\n");
-  for (std::size_t i = 0; i < index.size(); ++i) {
-    std::printf("%14.6g", index[i]);
-    for (const Series& s : series) {
-      if (i < s.values.size())
-        std::printf("  %22.8g", s.values[i]);
-      else
-        std::printf("  %22s", "-");
-    }
-    std::printf("\n");
-  }
 }
 
 }  // namespace sa::bench

@@ -41,15 +41,17 @@ int main(int argc, char** argv) {
   auto [scaled, scaling] = sa::data::normalize_columns(dataset);
 
   sa::core::PathOptions options;
+  // Synchronization-avoiding solver: one reduce per 16 iterations.
+  options.solver.algorithm = "sa-lasso";
+  options.solver.s = 16;
   options.solver.block_size = 4;
   options.solver.accelerated = true;
   options.solver.max_iterations = 2000;
   options.num_lambdas = 16;
   options.lambda_min_ratio = 1e-3;
-  options.s = 16;  // synchronization-avoiding solver, one reduce / 16 iters
 
   std::printf("\nwarm-started Lasso path (SA-accBCD, s = %zu):\n",
-              options.s);
+              options.solver.s);
   std::printf("%14s %12s %14s %12s\n", "lambda", "support", "objective",
               "iterations");
   const auto path = sa::core::lasso_path(scaled, options);

@@ -19,7 +19,6 @@
 
 #include "core/path.hpp"
 #include "core/registry.hpp"
-#include "core/svm.hpp"
 #include "core/trace_io.hpp"
 #include "data/libsvm_io.hpp"
 #include "data/scaling.hpp"
@@ -238,15 +237,20 @@ void maybe_write_csv(const Args& args, const sa::core::Trace& trace) {
   std::printf("trace written to %s\n", args.trace_csv.c_str());
 }
 
-int run_solver(const Args& args, const sa::data::Dataset& dataset) {
+// The spec the flags select: `--s N` with a classical id switches to its
+// synchronization-avoiding variant, and with any id sets the unrolling
+// depth.  Single solves and path mode both resolve through here.
+sa::core::SolverSpec resolved_spec(const Args& args) {
   sa::core::SolverSpec spec = args.spec;
-  // Back-compat convenience: `--s N` with a classical id selects the
-  // synchronization-avoiding variant, exactly as the old two-function
-  // dispatch did.
   if (args.s > 0) {
     if (!spec.is_sa()) spec.algorithm = "sa-" + spec.algorithm;
     spec.s = args.s;
   }
+  return spec;
+}
+
+int run_solver(const Args& args, const sa::data::Dataset& dataset) {
+  sa::core::SolverSpec spec = resolved_spec(args);
   if (spec.family() == sa::core::SolverFamily::kGroupLasso)
     spec.groups = sa::core::GroupStructure::uniform(dataset.num_features(),
                                                     args.group_size);
@@ -337,10 +341,9 @@ int run_path(const Args& args, const sa::data::Dataset& dataset) {
     return 2;
   }
   sa::core::PathOptions options;
-  options.solver = args.spec;  // an explicit --solver sa-lasso is honored
+  options.solver = resolved_spec(args);
   options.solver.trace_every = 0;  // the path table is the output
   options.num_lambdas = args.num_lambdas;
-  options.s = args.s;
 
   std::printf("%14s %12s %14s\n", "lambda", "support", "objective");
   const auto print = [](const std::vector<sa::core::PathPoint>& path) {

@@ -10,7 +10,6 @@
 
 #include "core/objective.hpp"
 #include "core/registry.hpp"
-#include "core/svm.hpp"
 #include "core/trace_io.hpp"
 #include "data/libsvm_io.hpp"
 #include "data/synthetic.hpp"

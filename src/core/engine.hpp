@@ -49,7 +49,7 @@
 #include <memory>
 
 #include "common/grouping.hpp"
-#include "core/group_lasso.hpp"  // GroupLassoOptions (for to_spec)
+#include "core/prox.hpp"
 #include "core/solver.hpp"
 #include "data/partition.hpp"
 #include "dist/round_message.hpp"
@@ -320,8 +320,7 @@ class EngineBase : public Solver {
 };
 
 // Engine factories (validate the spec, then construct).  The registry
-// binds each algorithm id to one of these; the legacy free functions call
-// them directly.
+// binds each algorithm id to one of these.
 std::unique_ptr<Solver> make_lasso_engine(dist::Communicator& comm,
                                           const data::Dataset& dataset,
                                           const data::Partition& rows,
@@ -334,10 +333,5 @@ std::unique_ptr<Solver> make_svm_engine(dist::Communicator& comm,
                                         const data::Dataset& dataset,
                                         const data::Partition& cols,
                                         const SolverSpec& spec);
-
-// Legacy option structs → unified spec (s == 0 selects the classical id).
-SolverSpec to_spec(const LassoOptions& options, std::size_t s);
-SolverSpec to_spec(const GroupLassoOptions& options, std::size_t s);
-SolverSpec to_spec(const SvmOptions& options, std::size_t s);
 
 }  // namespace sa::core::detail

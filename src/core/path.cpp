@@ -42,16 +42,10 @@ std::vector<PathPoint> lasso_path(dist::Communicator& comm,
              "lasso_path: lambda grid must be sorted descending");
 
   // The per-λ spec: the spec's own algorithm id is honored (and must be
-  // Lasso-family); PathOptions::s > 0 (kept for compatibility with the
-  // old two-function dispatch) forces the s-step variant.  λ and the warm
-  // start rotate per grid point.
+  // Lasso-family).  λ and the warm start rotate per grid point.
   SolverSpec spec = options.solver;
   SA_CHECK(spec.family() == SolverFamily::kLasso,
            "lasso_path: solver must be a Lasso-family algorithm");
-  if (options.s > 0) {
-    spec.algorithm = "sa-lasso";
-    spec.s = options.s;
-  }
 
   std::vector<PathPoint> path;
   path.reserve(grid.size());

@@ -28,15 +28,14 @@ struct PathPoint {
 
 /// Options for a path computation.
 struct PathOptions {
-  /// Per-λ solver settings (λ, warm start, and — unless you set a
-  /// Lasso-family algorithm id yourself — the algorithm are overridden
-  /// per grid point).  Must name a Lasso-family algorithm.
+  /// Per-λ solver settings (λ and the warm start are overridden per grid
+  /// point).  Must name a Lasso-family algorithm: "lasso", or "sa-lasso"
+  /// with its unrolling depth in `solver.s`.
   SolverSpec solver;
   std::size_t num_lambdas = 20;   ///< grid size when `lambdas` is empty
   double lambda_min_ratio = 1e-3; ///< λ_min = ratio · λ_max (auto grid)
   std::vector<double> lambdas;    ///< explicit grid (sorted descending);
                                   ///< empty = log grid from λ_max down
-  std::size_t s = 0;              ///< > 0: use the SA solver with this s
 };
 
 /// Builds the descending log-spaced λ grid from λ_max(A, b).

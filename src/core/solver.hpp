@@ -12,19 +12,17 @@
 //   SolveResult r = make_solver(comm, dataset, rows, spec)->run();
 //
 // A SolverSpec is a plain value: every knob of every family in one struct
-// with ONE set of defaults (the single source the CLI, the legacy option
-// structs, and the tests all pin against).  Fields that do not apply to
-// the selected algorithm are ignored; validate() rejects contradictory
-// combinations.  make_solver (core/registry.hpp) maps the algorithm id to
-// a factory and returns a Solver.
+// with ONE set of defaults (the CLI derives its own from them).  Fields
+// that do not apply to the selected algorithm are ignored; validate()
+// rejects contradictory combinations.  make_solver (core/registry.hpp)
+// maps the algorithm id to a factory and returns a Solver.
 //
 // Solver is re-entrant: step(k) advances at least one communication round
 // and keeps going until ≥ k inner iterations have been taken in that call
 // (rounds are never split — an s-step round is the atomic unit, so a
 // stepped solve is bit-identical to run()).  run() drives step() to a
 // stopping criterion and finalizes.  All ranks of a communicator must
-// construct and drive their Solver in lockstep, exactly as with the
-// legacy free functions.
+// construct and drive their Solver in lockstep.
 #pragma once
 
 #include <cstddef>
@@ -35,10 +33,11 @@
 #include <vector>
 
 #include "core/objective.hpp"
-#include "core/solver_options.hpp"
+#include "core/prox.hpp"
 #include "core/trace.hpp"
 #include "data/dataset.hpp"
 #include "dist/comm.hpp"
+#include "la/csr.hpp"
 
 namespace sa::io {
 class SnapshotWriter;
@@ -57,16 +56,18 @@ enum class StopReason {
 
 const char* to_string(StopReason reason);
 
+/// Which regularizer the Lasso family applies.  (Group Lasso is its own
+/// family because its prox must be aligned with the group structure.)
+enum class Penalty { kLasso, kElasticNet };
+
 /// The algorithm families behind the registered ids ("lasso" and
 /// "sa-lasso" are the same family at different unrolling depths).
 enum class SolverFamily { kLasso, kGroupLasso, kSvm, kUnknown };
 
 /// One spec for every solver.  Field groups that only apply to one family
-/// are marked; everything else is shared.  Defaults here are THE defaults:
-/// the legacy option structs and the CLI derive theirs from this struct,
-/// pinned by tests/core/test_solver_facade.cpp (sole documented
-/// exception: legacy SvmOptions keeps the paper's λ = 1, H = 10000
-/// conventions — see solver_options.hpp).
+/// are marked; everything else is shared.  Defaults here are THE defaults,
+/// shared by every family (the paper's SVM runs use λ = 1 and H = 10000;
+/// set them explicitly).
 struct SolverSpec {
   std::string algorithm = "lasso";  ///< registry id, e.g. "sa-group-lasso"
 
@@ -101,8 +102,7 @@ struct SolverSpec {
   // samples are spaced at least trace_every iterations apart when a trace
   // cadence is set).  The SVM duality gap needs a full margins reduction,
   // so the SVM gap/objective criteria are evaluated at trace points only
-  // and require trace_every > 0 to ever fire — matching the legacy
-  // SvmOptions::gap_tolerance contract.
+  // and require trace_every > 0 to ever fire.
   double objective_tolerance = 0.0;  ///< stop when successive objective
                                      ///< samples differ by ≤ tol·max(1,|f|)
   double gap_tolerance = 0.0;        ///< SVM: stop when gap ≤ tol
@@ -229,6 +229,14 @@ struct SolveResult {
 
   double final_objective() const { return trace.final_objective(); }
 };
+
+/// Classifies points of `a` with SVM weight vector x: sign(A_i·x) as ±1.
+std::vector<double> svm_predict(const la::CsrMatrix& a,
+                                std::span<const double> x);
+
+/// Fraction of points whose prediction matches the ±1 labels.
+double svm_accuracy(const la::CsrMatrix& a, std::span<const double> b,
+                    std::span<const double> x);
 
 /// Called after every communication round with the number of inner
 /// iterations completed so far.  Runs on every rank; must not communicate.

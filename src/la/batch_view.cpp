@@ -1,12 +1,10 @@
 // The single home of the batched Gram / multi-dot kernels.
 //
-// Both the zero-copy BatchView path (the s-step solvers) and the owning
-// VectorBatch path (the classical solvers, tests) call the functions in
-// this translation unit, so the two pipelines execute literally the same
-// machine code in the same accumulation order — the bit-identity the
-// parity tests assert is structural, not coincidental.
+// Every solver family packs its rounds through the functions in this
+// translation unit, so all of them execute literally the same machine
+// code in the same accumulation order.
 //
-// Kernel design (unchanged from the original vector_batch.cpp engine):
+// Kernel design:
 //
 //   * Dense Gram — tiled upper-triangular SYRK.  The (i, j) space is cut
 //     into 32×32 tiles, upper triangle only; inside a tile a 4×4 register
@@ -23,8 +21,7 @@
 //     sections v_i·x ride on the same sweep of member i.
 //
 // Output is the *packed* row-major upper triangle (plus optional dot
-// sections), written straight into the caller's allreduce buffer — the
-// full-matrix form used by VectorBatch::gram() is unpacked afterwards.
+// sections), written straight into the caller's allreduce buffer.
 #include "la/batch_view.hpp"
 
 #include <algorithm>
@@ -32,7 +29,6 @@
 #include "common/annotate.hpp"
 #include "common/check.hpp"
 #include "la/simd/simd.hpp"
-#include "la/vector_batch.hpp"
 #include "la/vector_ops.hpp"
 
 namespace sa::la {
@@ -241,20 +237,6 @@ BatchView BatchView::of_rows(const DenseMatrix& m,
   return dense(ptrs, m.cols());
 }
 
-BatchView BatchView::of(const VectorBatch& batch, Workspace& ws) {
-  if (batch.is_dense()) return of(batch.dense_matrix(), ws);
-  const std::span<const SparseVector> members = batch.sparse_members();
-  std::span<std::span<const std::size_t>> idx =
-      ws.member_index_spans(members.size());
-  std::span<std::span<const double>> val =
-      ws.member_value_spans(members.size());
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    idx[i] = members[i].indices;
-    val[i] = members[i].values;
-  }
-  return sparse(idx, val, batch.dim());
-}
-
 std::size_t BatchView::nnz() const {
   if (is_dense()) return size() * dim_;
   std::size_t total = 0;
@@ -321,7 +303,7 @@ void sampled_gram_and_dots(const BatchView& y,
     parallel_for(tile_pairs, parallel, [&](std::size_t t) {
       dense_tile(y.row_pointers().data(), d, k, tiles, t, g, kt);
     });
-    // Dot sections: same per-member kernel and schedule as dot_all.
+    // Dot sections: the batch_dots kernel, one call per section.
     for (std::size_t sct = 0; sct < xs.size(); ++sct)
       batch_dots(y, xs[sct], std::span<double>(dots + sct * k, k));
     return;
@@ -337,8 +319,8 @@ void sampled_gram_and_dots(const BatchView& y,
     sparse_gram_row(whole, i, k, sparse_gram_workspace(d),
                     g + packed_upper_index(i, i, k), kt);
     // Fused dot sections: v_i · x, in the same gather order as the
-    // sparse-dense dot kernel (sparse_vector.cpp) — bit-identical to the
-    // separate dot_all pass it replaces.
+    // sparse-dense dot kernel (sparse_vector.cpp) — bit-identical to a
+    // separate batch_dots pass.
     const Segment si = whole(i);
     for (std::size_t sct = 0; sct < xs.size(); ++sct)
       dots[sct * k + i] = kt.gather_dot(si.val, si.idx, si.n, xs[sct].data());

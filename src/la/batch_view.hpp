@@ -1,11 +1,10 @@
 // Non-owning view over a batch of sampled vectors + the fused Gram kernel.
 //
-// BatchView is the zero-copy counterpart of VectorBatch: instead of
-// gathering the s·µ sampled columns into freshly allocated storage every
-// outer iteration, a view describes the members in place — sparse members
-// as (indices, values) span pairs aliasing the already-materialised
-// CSC/CSR arrays, dense members as row pointers (into a DenseMatrix or a
-// block's persistent staged copy).  The descriptor arrays themselves live
+// A BatchView describes the s·µ sampled columns (or s sampled rows) of
+// one outer iteration in place, without copying them: sparse members as
+// (indices, values) span pairs aliasing the already-materialised CSC/CSR
+// arrays, dense members as row pointers (into a DenseMatrix or a block's
+// persistent staged copy).  The descriptor arrays themselves live
 // in a la::Workspace, so building a view performs no heap allocation in
 // steady state.
 //
@@ -18,16 +17,11 @@
 //
 // (row-major upper triangle, then one length-k section per right-hand
 // side).  For sparse views the dots are fused into the same sweep that
-// forms the Gram rows; for dense views the kernel skips the gather/concat
-// copies and the pack_upper round-trip of the copy-based path.  The
-// solvers pack the same values chunk by chunk, one call per section
-// (sampled_gram_chunks / sampled_dots_chunks below).
+// forms the Gram rows.  The solvers pack the same values chunk by chunk,
+// one call per section (sampled_gram_chunks / sampled_dots_chunks below).
 //
-// Bit-compatibility contract: the kernels here are the *only*
-// implementation of the batched Gram/dot arithmetic — VectorBatch::gram()
-// and VectorBatch::dot_all() route through them — so the view-based and
-// copy-based paths produce bit-identical results by construction (same
-// code, same accumulation order, one translation unit).
+// The kernels here are the *only* implementation of the batched Gram/dot
+// arithmetic (same code, same accumulation order, one translation unit).
 #pragma once
 
 #include <cstddef>
@@ -39,8 +33,6 @@
 #include "la/workspace.hpp"
 
 namespace sa::la {
-
-class VectorBatch;
 
 /// Non-owning batch of k vectors, each of logical length dim().
 class BatchView {
@@ -63,9 +55,6 @@ class BatchView {
   /// View over selected rows of a dense matrix (descriptors from `ws`).
   static BatchView of_rows(const DenseMatrix& m,
                            std::span<const std::size_t> rows, Workspace& ws);
-
-  /// View over a VectorBatch (either storage kind; descriptors from `ws`).
-  static BatchView of(const VectorBatch& batch, Workspace& ws);
 
   std::size_t size() const {
     return is_dense() ? rows_.size() : idx_.size();
@@ -95,15 +84,18 @@ class BatchView {
   }
 
   /// target := target + alpha · v_i  (same accumulation order as the
-  /// VectorBatch/SparseVector axpy kernels — bit-identical updates).
+  /// la::axpy / SparseVector axpy kernels — bit-identical updates).
   void add_scaled_to(std::size_t i, double alpha,
                      std::span<double> target) const;
 
-  /// Flops of the packed Gram kernel on this view; identical formulas to
-  /// VectorBatch::gram_flops() (dense k(k+1)·dim, sparse Σ_j 2(j+1)·nnz_j).
+  /// Flops of the packed Gram kernel on this view, matching the kernels
+  /// exactly: dense k(k+1)·dim (2·dim per pair over the upper triangle);
+  /// sparse Σ_j 2(j+1)·nnz_j (the accumulator kernel gathers through v_j's
+  /// nonzeros for every pair (i ≤ j, j)).  Deterministic, used by the
+  /// cost model.
   std::size_t gram_flops() const;
 
-  /// Flops of one dot section (2·nnz), matching VectorBatch::dot_all_flops.
+  /// Flops of one dot section (2·nnz).
   std::size_t dot_all_flops() const;
 
  private:
@@ -138,7 +130,7 @@ void sampled_gram_and_dots(const BatchView& y,
                            std::span<const std::span<const double>> xs,
                            std::span<double> out);
 
-/// Dot section only:  out[i] = v_i · x  (the dot_all kernel).
+/// Dot section only:  out[i] = v_i · x.
 void batch_dots(const BatchView& y, std::span<const double> x,
                 std::span<double> out);
 

@@ -95,7 +95,8 @@ TEST(LassoPath, SaSolverProducesSamePath) {
   const data::Dataset d = make_problem();
   PathOptions classical = base_options();
   PathOptions avoiding = base_options();
-  avoiding.s = 8;
+  avoiding.solver.algorithm = "sa-lasso";
+  avoiding.solver.s = 8;
   const auto p1 = lasso_path(d, classical);
   const auto p2 = lasso_path(d, avoiding);
   ASSERT_EQ(p1.size(), p2.size());

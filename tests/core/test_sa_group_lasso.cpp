@@ -1,7 +1,7 @@
 // SA-Group-Lasso equivalence tests — the extension module must reproduce
-// solve_group_lasso's iterate sequence to floating-point tolerance, the
+// the group-lasso iterate sequence to floating-point tolerance, the
 // same invariant the paper establishes for Algorithms 2 and 4.
-#include "core/sa_group_lasso.hpp"
+#include "core/registry.hpp"
 
 #include <mutex>
 
@@ -26,9 +26,8 @@ data::Dataset make_problem(std::uint64_t seed = 42) {
   return data::make_regression(cfg).dataset;
 }
 
-GroupLassoOptions base_options(const data::Dataset& d,
-                               std::size_t group_size) {
-  GroupLassoOptions opt;
+SolverSpec base_options(const data::Dataset& d, std::size_t group_size) {
+  SolverSpec opt = SolverSpec::make("group-lasso");
   opt.lambda = 0.2;
   opt.groups = GroupStructure::uniform(d.num_features(), group_size);
   opt.max_iterations = 200;
@@ -46,13 +45,13 @@ class SaGroupLassoSweep : public ::testing::TestWithParam<GroupCase> {};
 TEST_P(SaGroupLassoSweep, MatchesNonSaIterates) {
   const GroupCase c = GetParam();
   const data::Dataset d = make_problem();
-  const GroupLassoOptions base = base_options(d, c.group_size);
+  const SolverSpec base = base_options(d, c.group_size);
 
-  const LassoResult ref = solve_group_lasso_serial(d, base);
-  SaGroupLassoOptions sa;
-  sa.base = base;
+  const SolveResult ref = solve(d, base);
+  SolverSpec sa = base;
+  sa.algorithm = "sa-group-lasso";
   sa.s = c.s;
-  const LassoResult got = solve_sa_group_lasso_serial(d, sa);
+  const SolveResult got = solve(d, sa);
   EXPECT_LT(la::max_rel_diff(ref.x, got.x), 1e-9);
 }
 
@@ -66,22 +65,22 @@ TEST(SaGroupLasso, RepeatedGroupWithinWindowHandled) {
   // Few groups + deep unrolling: the same group is updated several times
   // per window, exercising the deferred-state overlap path.
   const data::Dataset d = make_problem(7);
-  GroupLassoOptions base = base_options(d, 12);  // only 2 groups
-  const LassoResult ref = solve_group_lasso_serial(d, base);
-  SaGroupLassoOptions sa;
-  sa.base = base;
+  SolverSpec base = base_options(d, 12);  // only 2 groups
+  const SolveResult ref = solve(d, base);
+  SolverSpec sa = base;
+  sa.algorithm = "sa-group-lasso";
   sa.s = 64;
-  const LassoResult got = solve_sa_group_lasso_serial(d, sa);
+  const SolveResult got = solve(d, sa);
   EXPECT_LT(la::max_rel_diff(ref.x, got.x), 1e-9);
 }
 
 TEST(SaGroupLasso, ObjectiveDescends) {
   const data::Dataset d = make_problem();
-  SaGroupLassoOptions sa;
-  sa.base = base_options(d, 4);
-  sa.base.trace_every = 50;
+  SolverSpec sa = base_options(d, 4);
+  sa.algorithm = "sa-group-lasso";
+  sa.trace_every = 50;
   sa.s = 10;
-  const LassoResult r = solve_sa_group_lasso_serial(d, sa);
+  const SolveResult r = solve(d, sa);
   ASSERT_GE(r.trace.points.size(), 2u);
   EXPECT_LT(r.trace.points.back().objective,
             r.trace.points.front().objective);
@@ -89,17 +88,17 @@ TEST(SaGroupLasso, ObjectiveDescends) {
 
 TEST(SaGroupLasso, DistributedMatchesSerial) {
   const data::Dataset d = make_problem(3);
-  SaGroupLassoOptions sa;
-  sa.base = base_options(d, 4);
+  SolverSpec sa = base_options(d, 4);
+  sa.algorithm = "sa-group-lasso";
   sa.s = 8;
-  const LassoResult serial = solve_sa_group_lasso_serial(d, sa);
+  const SolveResult serial = solve(d, sa);
 
   const int ranks = 4;
   const data::Partition rows = data::Partition::block(d.num_points(), ranks);
   std::vector<std::vector<double>> per_rank(ranks);
   std::mutex lock;
   dist::run_distributed(ranks, [&](dist::Communicator& comm) {
-    const LassoResult r = solve_sa_group_lasso(comm, d, rows, sa);
+    const SolveResult r = make_solver(comm, d, rows, sa)->run();
     std::scoped_lock guard(lock);
     per_rank[comm.rank()] = r.x;
   });
@@ -109,7 +108,7 @@ TEST(SaGroupLasso, DistributedMatchesSerial) {
 
 TEST(SaGroupLasso, CommunicationReducedByS) {
   const data::Dataset d = make_problem(5);
-  GroupLassoOptions base = base_options(d, 4);
+  SolverSpec base = base_options(d, 4);
   base.max_iterations = 64;
 
   const int ranks = 2;
@@ -117,17 +116,17 @@ TEST(SaGroupLasso, CommunicationReducedByS) {
   dist::CommStats ref_stats, sa_stats;
   std::mutex lock;
   dist::run_distributed(ranks, [&](dist::Communicator& comm) {
-    solve_group_lasso(comm, d, rows, base);
+    make_solver(comm, d, rows, base)->run();
     if (comm.rank() == 0) {
       std::scoped_lock guard(lock);
       ref_stats = comm.stats();
     }
   });
   dist::run_distributed(ranks, [&](dist::Communicator& comm) {
-    SaGroupLassoOptions sa;
-    sa.base = base;
+    SolverSpec sa = base;
+    sa.algorithm = "sa-group-lasso";
     sa.s = 8;
-    solve_sa_group_lasso(comm, d, rows, sa);
+    make_solver(comm, d, rows, sa)->run();
     if (comm.rank() == 0) {
       std::scoped_lock guard(lock);
       sa_stats = comm.stats();
@@ -140,13 +139,13 @@ TEST(SaGroupLasso, CommunicationReducedByS) {
 
 TEST(SaGroupLasso, RejectsInvalidOptions) {
   const data::Dataset d = make_problem();
-  SaGroupLassoOptions sa;
-  sa.base = base_options(d, 4);
+  SolverSpec sa = base_options(d, 4);
+  sa.algorithm = "sa-group-lasso";
   sa.s = 0;
-  EXPECT_THROW(solve_sa_group_lasso_serial(d, sa), sa::PreconditionError);
+  EXPECT_THROW(solve(d, sa), sa::PreconditionError);
   sa.s = 4;
-  sa.base.groups = GroupStructure::uniform(d.num_features() - 1, 4);
-  EXPECT_THROW(solve_sa_group_lasso_serial(d, sa), sa::PreconditionError);
+  sa.groups = GroupStructure::uniform(d.num_features() - 1, 4);
+  EXPECT_THROW(solve(d, sa), sa::PreconditionError);
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
-// Zero-copy pipeline parity tests: the fused view-based kernel
-// sampled_gram_and_dots() must be BIT-identical to the copy-based
-// gather_columns + concat + gram + pack_upper + dot_all path it replaces,
-// on both storage kinds (sparse CSC views and densified staging) and for
-// both solver modes (accelerated = two dot sections, plain = one); the
-// chunk-major pack kernels must reproduce it chunk by chunk.
+// Zero-copy pipeline parity tests: the fused kernel sampled_gram_and_dots()
+// on a block's views must be BIT-identical to the same kernels fed an
+// owning copy of the sampled vectors (the copy-based gather the views
+// replaced), on both storage kinds (sparse CSC views and densified
+// staging) and for both solver modes (accelerated = two dot sections,
+// plain = one); the chunk-major pack kernels must reproduce it chunk by
+// chunk.  Also the BatchView basics on hand-made batches: sizes, member
+// nnz, dense/sparse agreement, the add_scaled_to scatter, flop formulas.
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -16,7 +19,8 @@
 #include "data/rng.hpp"
 #include "data/synthetic.hpp"
 #include "la/batch_view.hpp"
-#include "la/vector_batch.hpp"
+#include "la/csc.hpp"
+#include "la/sparse_vector.hpp"
 #include "la/vector_ops.hpp"
 #include "la/workspace.hpp"
 
@@ -40,27 +44,85 @@ std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-/// The seed copy-based pipeline, reproduced verbatim: per-block gathers,
-/// concat, full Gram, pack_upper, then one dot_all per right-hand side.
-std::vector<double> copy_pipeline(const core::RowBlock& block,
-                                  std::span<const std::size_t> cols,
-                                  std::size_t blocks,
+/// An owning copy of sampled vectors — what the zero-copy views replaced:
+/// dense members as the rows of a DenseMatrix, sparse members as
+/// SparseVectors.  view() presents the copy to the kernels under test.
+struct Gathered {
+  bool dense = false;
+  std::size_t dim = 0;
+  DenseMatrix rows;                   // k × dim in dense mode
+  std::vector<SparseVector> members;  // k members in sparse mode
+
+  std::size_t size() const { return dense ? rows.rows() : members.size(); }
+
+  BatchView view(Workspace& ws) const {
+    if (dense) return BatchView::of(rows, ws);
+    std::span<std::span<const std::size_t>> idx =
+        ws.member_index_spans(members.size());
+    std::span<std::span<const double>> val =
+        ws.member_value_spans(members.size());
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      idx[i] = members[i].indices;
+      val[i] = members[i].values;
+    }
+    return BatchView::sparse(idx, val, dim);
+  }
+};
+
+/// Copies the given global columns of `block` (restricted to its rows);
+/// storage follows the matrix density, as the block's views do.
+Gathered gather_columns(const core::RowBlock& block,
+                        std::span<const std::size_t> cols) {
+  const CscMatrix csc(block.matrix());
+  Gathered g;
+  g.dense = block.matrix().density() > core::kDenseBatchThreshold;
+  g.dim = block.local_rows();
+  if (g.dense) g.rows = DenseMatrix(cols.size(), g.dim);
+  for (std::size_t c = 0; c < cols.size(); ++c) {
+    if (!g.dense) {
+      g.members.push_back(csc.gather_column(cols[c]));
+      continue;
+    }
+    const auto idx = csc.col_indices(cols[c]);
+    const auto val = csc.col_values(cols[c]);
+    for (std::size_t p = 0; p < idx.size(); ++p) g.rows(c, idx[p]) = val[p];
+  }
+  return g;
+}
+
+/// Copies the given global rows of `block` (restricted to its columns).
+Gathered gather_rows(const core::ColBlock& block,
+                     std::span<const std::size_t> rows) {
+  const CsrMatrix& a = block.matrix();
+  Gathered g;
+  g.dense = a.density() > core::kDenseBatchThreshold;
+  g.dim = block.local_cols();
+  if (g.dense) g.rows = DenseMatrix(rows.size(), g.dim);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    if (!g.dense) {
+      g.members.push_back(a.gather_row(rows[r]));
+      continue;
+    }
+    const auto idx = a.row_indices(rows[r]);
+    const auto val = a.row_values(rows[r]);
+    for (std::size_t p = 0; p < idx.size(); ++p) g.rows(r, idx[p]) = val[p];
+  }
+  return g;
+}
+
+/// [upper(G) | Yᵀx₀ | …] of an owning copy: the packed Gram, then one
+/// batch_dots call per right-hand side.
+std::vector<double> copy_pipeline(const Gathered& copy,
                                   std::span<const std::vector<double>> rhs) {
-  const std::size_t mu = cols.size() / blocks;
-  std::vector<VectorBatch> batches;
-  for (std::size_t t = 0; t < blocks; ++t)
-    batches.push_back(block.gather_columns(std::vector<std::size_t>(
-        cols.begin() + t * mu, cols.begin() + (t + 1) * mu)));
-  const VectorBatch big = concat(batches);
+  Workspace ws;
+  const BatchView big = copy.view(ws);
   const std::size_t k = big.size();
   const std::size_t tri = core::detail::triangle_size(k);
   std::vector<double> buffer(tri + rhs.size() * k);
-  core::detail::pack_upper(big.gram(),
-                           std::span<double>(buffer.data(), tri));
-  for (std::size_t sct = 0; sct < rhs.size(); ++sct) {
-    const std::vector<double> dots = big.dot_all(rhs[sct]);
-    std::copy(dots.begin(), dots.end(), buffer.begin() + tri + sct * k);
-  }
+  sampled_gram_and_dots(big, {}, std::span<double>(buffer.data(), tri));
+  for (std::size_t sct = 0; sct < rhs.size(); ++sct)
+    batch_dots(big, rhs[sct],
+               std::span<double>(buffer).subspan(tri + sct * k, k));
   return buffer;
 }
 
@@ -98,7 +160,7 @@ TEST_P(StoragePairSweep, FusedKernelBitIdenticalToCopyPipeline) {
     for (const std::size_t sections : {std::size_t{2}, std::size_t{1}}) {
       const std::span<const std::vector<double>> xs(rhs.data(), sections);
       const std::vector<double> want =
-          copy_pipeline(block, cols, blocks, xs);
+          copy_pipeline(gather_columns(block, cols), xs);
       const std::vector<double> got = view_pipeline(block, cols, xs, ws);
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t i = 0; i < want.size(); ++i)
@@ -262,14 +324,10 @@ TEST(BatchView, ColBlockRowViewsMatchGatherPath) {
   const std::vector<std::size_t> rows{3, 17, 3, 44, 101, 0};
   const std::vector<double> x = random_vector(block.local_cols(), 5);
 
-  const VectorBatch batch = block.gather_rows(rows);
-  const std::size_t k = batch.size();
-  const std::size_t tri = core::detail::triangle_size(k);
-  std::vector<double> want(tri + k);
-  core::detail::pack_upper(batch.gram(),
-                           std::span<double>(want.data(), tri));
-  const std::vector<double> dots = batch.dot_all(x);
-  std::copy(dots.begin(), dots.end(), want.begin() + tri);
+  const std::array<std::vector<double>, 1> rhs{x};
+  const std::vector<double> want =
+      copy_pipeline(gather_rows(block, rows), rhs);
+  const std::size_t k = rows.size();
 
   Workspace ws;
   const BatchView view = block.view_rows(rows, ws);
@@ -281,38 +339,50 @@ TEST(BatchView, ColBlockRowViewsMatchGatherPath) {
     EXPECT_EQ(got[i], want[i]) << "entry " << i;
 }
 
-TEST(BatchView, AddScaledToMatchesVectorBatch) {
+TEST(BatchView, AddScaledToMatchesGatheredCopy) {
   const data::Dataset d = make_dataset(0.05, 35);
   const core::RowBlock block(
       d, data::Partition::block(d.num_points(), 1), 0);
   const std::vector<std::size_t> cols{1, 9, 30, 63};
-  const VectorBatch batch = block.gather_columns(cols);
+  const Gathered copy = gather_columns(block, cols);
+  ASSERT_FALSE(copy.dense);
   Workspace ws;
   const BatchView view = block.view_columns(cols, ws);
-  ASSERT_EQ(view.size(), batch.size());
-  ASSERT_EQ(view.dim(), batch.dim());
+  ASSERT_EQ(view.size(), copy.size());
+  ASSERT_EQ(view.dim(), copy.dim);
   for (std::size_t i = 0; i < view.size(); ++i) {
-    EXPECT_EQ(view.member_nnz(i), batch.member_nnz(i));
+    EXPECT_EQ(view.member_nnz(i), copy.members[i].nnz());
     std::vector<double> a = random_vector(view.dim(), 100 + i);
     std::vector<double> b = a;
     view.add_scaled_to(i, 0.37, a);
-    batch.add_scaled_to(i, 0.37, b);
+    axpy(0.37, copy.members[i], b);
     for (std::size_t p = 0; p < a.size(); ++p) EXPECT_EQ(a[p], b[p]);
   }
 }
 
-TEST(BatchView, FlopFormulasMatchVectorBatch) {
+TEST(BatchView, FlopFormulasMatchClosedForms) {
   for (const double density : {0.05, 0.5}) {
     const data::Dataset d = make_dataset(density, 37);
     const core::RowBlock block(
         d, data::Partition::block(d.num_points(), 1), 0);
     const std::vector<std::size_t> cols{2, 5, 11, 23, 47};
-    const VectorBatch batch = block.gather_columns(cols);
+    const Gathered copy = gather_columns(block, cols);
+    // dense k(k+1)·dim; sparse Σ_j 2(j+1)·nnz_j; one dot section 2·nnz.
+    const std::size_t k = copy.size();
+    std::size_t nnz = k * copy.dim;
+    std::size_t gram_flops = k * (k + 1) * copy.dim;
+    if (!copy.dense) {
+      nnz = gram_flops = 0;
+      for (std::size_t j = 0; j < k; ++j) {
+        nnz += copy.members[j].nnz();
+        gram_flops += 2 * (j + 1) * copy.members[j].nnz();
+      }
+    }
     Workspace ws;
     const BatchView view = block.view_columns(cols, ws);
-    EXPECT_EQ(view.nnz(), batch.nnz());
-    EXPECT_EQ(view.gram_flops(), batch.gram_flops());
-    EXPECT_EQ(view.dot_all_flops(), batch.dot_all_flops());
+    EXPECT_EQ(view.nnz(), nnz);
+    EXPECT_EQ(view.gram_flops(), gram_flops);
+    EXPECT_EQ(view.dot_all_flops(), 2 * nnz);
   }
 }
 
@@ -321,7 +391,12 @@ TEST(BatchView, PackedUpperViewAgreesWithUnpack) {
   std::vector<double> packed(core::detail::triangle_size(k));
   for (std::size_t i = 0; i < packed.size(); ++i)
     packed[i] = static_cast<double>(i) * 0.25 - 3.0;
-  const DenseMatrix full = core::detail::unpack_upper(packed, k);
+  // Unpack the row-major upper triangle the plain way.
+  DenseMatrix full(k, k);
+  std::size_t p = 0;
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = i; j < k; ++j, ++p)
+      full(i, j) = full(j, i) = packed[p];
   const core::detail::PackedUpper view(packed.data(), k);
   for (std::size_t i = 0; i < k; ++i)
     for (std::size_t j = 0; j < k; ++j)
@@ -377,9 +452,116 @@ TEST(RowBlock, ColumnNormsPrecomputedAndCorrect) {
   const std::vector<double>& norms = block.col_norms_squared();
   ASSERT_EQ(norms.size(), d.num_features());
   for (std::size_t j = 0; j < d.num_features(); ++j) {
-    const VectorBatch col = block.gather_columns({j});
-    EXPECT_NEAR(norms[j], col.norm_squared(0), 1e-12);
+    const Gathered col = gather_columns(block, std::array{j});
+    EXPECT_NEAR(norms[j], nrm2_squared(col.members[0]), 1e-12);
   }
+}
+
+// ---------------------------------------------------------------------
+// BatchView basics on a hand-made batch: three vectors of length 4,
+// stored densely and sparsely.
+// ---------------------------------------------------------------------
+
+Gathered small_batch(bool dense) {
+  Gathered g;
+  g.dense = dense;
+  g.dim = 4;
+  if (dense) {
+    g.rows = DenseMatrix(3, 4,
+                         {1.0, 0.0, 2.0, 0.0,   //
+                          0.0, 3.0, 0.0, 1.0,   //
+                          1.0, 1.0, 1.0, 1.0});
+  } else {
+    g.members.push_back({4, {0, 2}, {1.0, 2.0}});
+    g.members.push_back({4, {1, 3}, {3.0, 1.0}});
+    g.members.push_back({4, {0, 1, 2, 3}, {1.0, 1.0, 1.0, 1.0}});
+  }
+  return g;
+}
+
+std::vector<double> packed_gram(const BatchView& y) {
+  std::vector<double> out(fused_buffer_size(y.size(), 0));
+  sampled_gram_and_dots(y, {}, out);
+  return out;
+}
+
+TEST(BatchView, SizesAndDims) {
+  for (const bool dense : {true, false}) {
+    const Gathered g = small_batch(dense);
+    Workspace ws;
+    const BatchView v = g.view(ws);
+    EXPECT_EQ(v.size(), 3u);
+    EXPECT_EQ(v.dim(), 4u);
+    EXPECT_EQ(v.is_dense(), dense);
+  }
+}
+
+TEST(BatchView, DenseAndSparseAgreeOnGram) {
+  const Gathered dn = small_batch(true);
+  const Gathered sp = small_batch(false);
+  Workspace ws_dn, ws_sp;
+  const std::vector<double> g1 = packed_gram(dn.view(ws_dn));
+  const std::vector<double> g2 = packed_gram(sp.view(ws_sp));
+  ASSERT_EQ(g1.size(), g2.size());
+  for (std::size_t i = 0; i < g1.size(); ++i)
+    EXPECT_LT(std::abs(g1[i] - g2[i]), 1e-15);
+  // Diagonal: ‖v_0‖² = 5, ‖v_1‖² = 10, ‖v_2‖² = 4; entries are the
+  // pairwise dots.
+  EXPECT_DOUBLE_EQ(g2[packed_upper_index(0, 0, 3)], 5.0);
+  EXPECT_DOUBLE_EQ(g2[packed_upper_index(1, 1, 3)], 10.0);
+  EXPECT_DOUBLE_EQ(g2[packed_upper_index(2, 2, 3)], 4.0);
+  for (std::size_t i = 0; i < 3; ++i)
+    for (std::size_t j = i; j < 3; ++j)
+      EXPECT_DOUBLE_EQ(g1[packed_upper_index(i, j, 3)],
+                       dot(dn.rows.row(i), dn.rows.row(j)));
+}
+
+TEST(BatchView, DotsAgreeAcrossStorageKinds) {
+  const std::vector<double> x{1.0, -1.0, 0.5, 2.0};
+  const Gathered dn = small_batch(true);
+  const Gathered sp = small_batch(false);
+  Workspace ws_dn, ws_sp;
+  std::vector<double> d1(3), d2(3);
+  batch_dots(dn.view(ws_dn), x, d1);
+  batch_dots(sp.view(ws_sp), x, d2);
+  for (std::size_t i = 0; i < d1.size(); ++i) EXPECT_DOUBLE_EQ(d1[i], d2[i]);
+  EXPECT_DOUBLE_EQ(d1[0], 2.0);   // 1·1 + 2·0.5
+  EXPECT_DOUBLE_EQ(d1[1], -1.0);  // 3·(−1) + 1·2
+}
+
+TEST(BatchView, AddScaledToScatters) {
+  const Gathered sp = small_batch(false);
+  Workspace ws;
+  std::vector<double> target(4, 1.0);
+  sp.view(ws).add_scaled_to(0, 2.0, target);
+  EXPECT_DOUBLE_EQ(target[0], 3.0);
+  EXPECT_DOUBLE_EQ(target[1], 1.0);
+  EXPECT_DOUBLE_EQ(target[2], 5.0);
+  EXPECT_DOUBLE_EQ(target[3], 1.0);
+}
+
+TEST(BatchView, MemberNnzReflectsStorage) {
+  const Gathered dn = small_batch(true);
+  const Gathered sp = small_batch(false);
+  Workspace ws_dn, ws_sp;
+  EXPECT_EQ(dn.view(ws_dn).member_nnz(0), 4u);  // dense: dim
+  EXPECT_EQ(sp.view(ws_sp).member_nnz(0), 2u);  // sparse: nnz
+}
+
+TEST(BatchView, GramFlopsPositiveAndLargerForDense) {
+  const Gathered dn = small_batch(true);
+  const Gathered sp = small_batch(false);
+  Workspace ws_dn, ws_sp;
+  EXPECT_GT(dn.view(ws_dn).gram_flops(), sp.view(ws_sp).gram_flops());
+  EXPECT_GT(sp.view(ws_sp).gram_flops(), 0u);
+}
+
+TEST(BatchView, EmptyBatchGramIsEmpty) {
+  const Gathered empty{false, 10, {}, {}};
+  Workspace ws;
+  const BatchView v = empty.view(ws);
+  EXPECT_EQ(v.size(), 0u);
+  EXPECT_TRUE(packed_gram(v).empty());
 }
 
 }  // namespace
