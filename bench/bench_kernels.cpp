@@ -152,6 +152,36 @@ void BM_SparseColumnGram(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseColumnGram)->Arg(8)->Arg(64)->Arg(256);
 
+/// Chunk-major sparse Gram at the lasso-sparse-p2 shape: one rank's
+/// 20000-row block, k = 128 sampled columns at density 0.005, cut into
+/// Arg equal chunks.  Each chunk gathers only the pairs that share a row,
+/// so the cost should stay near the single-chunk one as the grid grows.
+void BM_SparseGramChunks(benchmark::State& state) {
+  const std::size_t nc = state.range(0);
+  const std::size_t k = 128;
+  sa::data::RegressionConfig cfg;
+  cfg.num_points = 20000;
+  cfg.num_features = 2000;
+  cfg.density = 0.005;
+  cfg.support_size = 16;
+  const sa::data::Dataset d = sa::data::make_regression(cfg).dataset;
+  const sa::core::RowBlock block(
+      d, sa::data::Partition::block(d.num_points(), 1), 0);
+  std::vector<std::size_t> cols(k);
+  for (std::size_t j = 0; j < k; ++j) cols[j] = (j * 37) % d.num_features();
+  sa::la::Workspace ws;
+  const sa::la::BatchView view = block.view_columns(cols, ws);
+  std::vector<std::size_t> bounds(nc + 1);
+  for (std::size_t c = 0; c <= nc; ++c) bounds[c] = c * view.dim() / nc;
+  const std::size_t tri = k * (k + 1) / 2;
+  std::vector<double> out(nc * tri);
+  for (auto _ : state) {
+    sa::la::sampled_gram_chunks(view, bounds, tri, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_SparseGramChunks)->Arg(1)->Arg(32);
+
 // ---------------------------------------------------------------------------
 // The per-outer-iteration Gram+dots stage of the s-step solvers at
 // solver-realistic shapes (s blocks of µ sampled columns, one residual dot

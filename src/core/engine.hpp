@@ -142,15 +142,14 @@ class EngineBase : public Solver {
   /// gap needs a full margins reduction, so the SVM engine leaves this
   /// off and keeps gap/objective stopping at trace points.
   virtual bool has_round_objective() const { return false; }
-  /// Writes this rank's objective partials into the per-chunk block
-  /// (msg.objective_chunks(), grouping().num_chunks() entries): one
-  /// partial per OWNED global chunk, at the chunk's grid index; foreign
-  /// entries arrive zeroed and must stay +0.0.  Evaluated at the CURRENT
+  /// Writes this rank's objective partials into `chunks`
+  /// (msg.objective_chunks()): one partial per OWNED global chunk, at the
+  /// owned-chunk index for_owned_chunks reports.  Evaluated at the CURRENT
   /// iterate (pack time).
   virtual void write_objective_chunks(std::span<double> chunks) {
     (void)chunks;
   }
-  /// Full replicated objective from the chunk-folded reduced partial.
+  /// Full replicated objective from the tree-summed reduced partial.
   virtual double objective_from_partial(double reduced_partial) {
     (void)reduced_partial;
     return 0.0;
@@ -159,38 +158,46 @@ class EngineBase : public Solver {
   /// The fixed global reduction grouping this solve accumulates in.
   /// Derived constructors call init_grouping with the partition of their
   /// reduction axis (rows for the regression families, features for
-  /// SVM); it sizes the grid from SolverSpec::reduction_chunk, arms both
-  /// round-message buffers, and fixes this rank's owned chunks for the
-  /// whole solve.
+  /// SVM); it sizes the grid from SolverSpec::reduction_chunk, builds the
+  /// reduction tree and arms both round-message buffers with it, and fixes
+  /// this rank's owned chunks for the whole solve.
   void init_grouping(const data::Partition& slices);
   const common::ReduceGrouping& grouping() const { return grouping_; }
+  /// Number of global chunks this rank owns (0 for an empty slice).
+  std::size_t owned_chunks() const { return owned_bounds_.size() - 1; }
 
   /// Visits every global chunk that intersects this rank's slice as
-  /// fn(chunk_index, local_begin, local_end), in global-chunk order, with
-  /// the bounds in slice-local coordinates.  The chunk indices stay
-  /// global, which is what makes the wire slots line up across rank
-  /// counts.
+  /// fn(owned_index, local_begin, local_end), in global-chunk order, with
+  /// the bounds in slice-local coordinates.  owned_index counts from 0 at
+  /// the rank's first owned chunk: it indexes the per-chunk partial runs
+  /// that tree_allreduce and the round message's chunk scratch take.
   template <typename Fn>
   void for_owned_chunks(Fn&& fn) const {
     for (std::size_t c = 0; c + 1 < owned_bounds_.size(); ++c)
-      fn(first_owned_ + c, owned_bounds_[c], owned_bounds_[c + 1]);
+      fn(c, owned_bounds_[c], owned_bounds_[c + 1]);
   }
 
   /// The round's chunk-major pack: ONE kernel call writes the Gram
   /// partials (pack_gram_chunks) or the dot-section partials against the
   /// slice-local right-hand sides `xs` (pack_dot_chunks) of every owned
-  /// chunk into its wire slot of `msg`.
+  /// chunk, then the message sums them over this rank's subtrees into its
+  /// wire slots.
   void pack_gram_chunks(const la::BatchView& view, dist::RoundMessage& msg);
   void pack_dot_chunks(const la::BatchView& view,
                        std::span<const std::span<const double>> xs,
                        dist::RoundMessage& msg);
 
-  /// Collective helper for trace-point norms: reduces ||v||² where this
-  /// rank owns the slice of the global vector starting at `global_begin`,
-  /// accumulating per-global-chunk partials folded in chunk order — the
-  /// rank-count-invariant replacement for allreduce_sum_scalar(nrm2²(v)).
-  double grouped_norm_allreduce(std::span<const double> local,
-                                std::size_t global_begin);
+  /// Collective, for trace points: sums `partials` (owned_chunks() runs of
+  /// `width` words, one per owned chunk; clobbered) over the reduction
+  /// tree and every rank, the rank-count-invariant way the round message
+  /// does.  Returns the `width` totals, valid until the next call.
+  std::span<const double> tree_allreduce(std::span<double> partials,
+                                         std::size_t width);
+
+  /// ||v||² of the global vector whose slice this rank owns as `local`:
+  /// per-owned-chunk partials through tree_allreduce — the rank-count-
+  /// invariant replacement for allreduce_sum_scalar(nrm2²(v)).
+  double grouped_norm_allreduce(std::span<const double> local);
 
   /// Evaluates the traced quantity (objective / duality gap) at
   /// `iteration` and pushes a TracePoint.  Implementations must exclude
@@ -238,19 +245,20 @@ class EngineBase : public Solver {
   // The per-round message plane: ONE collective per outer round, with the
   // stopping criteria riding as trailer sections (sized once, up front).
   // Slot 1 of the same arena backs gather_full's assembly buffer; slot 2
-  // is the second round-message buffer the pipeline ping-pongs with; slot
-  // 3 backs grouped_norm_allreduce's per-chunk partial block.
+  // is the second round-message buffer the pipeline ping-pongs with;
+  // slots 3 and 4 back tree_allreduce's wire and grouped_norm_allreduce's
+  // per-chunk partials.
   enum : std::size_t {
     kMsgSlot = 0,
     kGatherSlot = 1,
     kMsgSlotB = 2,
-    kTraceSlot = 3
+    kTraceSlot = 3,
+    kTraceChunkSlot = 4
   };
   common::ReduceGrouping grouping_;
-  // This rank's owned chunks, fixed by init_grouping: global chunks
-  // first_owned_ … first_owned_ + nc − 1, with slice-local boundaries
-  // owned_bounds_ (nc + 1 entries; one entry, {0}, when none).
-  std::size_t first_owned_ = 0;
+  common::ReduceTree tree_;
+  // This rank's owned chunks' slice-local boundaries, fixed by
+  // init_grouping (nc + 1 entries; one entry, {0}, when none).
   std::vector<std::size_t> owned_bounds_{0};
   la::Workspace msg_ws_;
   dist::RoundMessage msg_{msg_ws_, kMsgSlot};

@@ -133,7 +133,7 @@ SolveResult solve_on_ranks(const data::Dataset& dataset,
   const AlgorithmInfo& info =
       SolverRegistry::instance().require(spec.algorithm);
   // Chunk-aligned boundaries: every global reduction chunk has a single
-  // owner, so the chunked round sums match the serial fold bitwise.
+  // owner, so the tree-summed round sums match the serial ones bitwise.
   const data::Partition part = partition_for_ranks(dataset, spec, ranks);
   SolveResult result;
   std::mutex lock;

@@ -92,8 +92,7 @@ class GroupLassoEngine final : public detail::EngineBase {
     const dist::CommStats snapshot = comm_.stats();
     // Trace instrumentation: runs only at user-requested trace points,
     // outside the round plane, and restores the comm stats it perturbs.
-    const double total_sq =
-        grouped_norm_allreduce(res_, rows_.begin(comm_.rank()));
+    const double total_sq = grouped_norm_allreduce(res_);
     const double penalty = penalty_value();
     comm_.set_stats(snapshot);
     push_trace_point(iteration, 0.5 * total_sq + penalty, snapshot);
@@ -152,8 +151,8 @@ class GroupLassoEngine final : public detail::EngineBase {
     //     section waits for finish_round (it reads the residual the
     //     previous apply just updated). ---
     msg.layout(detail::triangle_size(k), k, 0);
-    // Gram partials per OWNED global row chunk, each into its fixed wire
-    // slot (rank-count-invariant reduction grouping).
+    // Gram partials per OWNED global row chunk, summed into the rank's
+    // wire slots (rank-count-invariant reduction grouping).
     pack_gram_chunks(big_b_[buf], msg);
     comm_.add_flops(big_b_[buf].gram_flops());
   }

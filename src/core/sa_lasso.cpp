@@ -134,8 +134,7 @@ class LassoEngine final : public detail::EngineBase {
     write_current_residual();
     // Trace instrumentation: runs only at user-requested trace points,
     // outside the round plane, and restores the comm stats it perturbs.
-    const double total_sq =
-        grouped_norm_allreduce(res_scratch_, rows_.begin(comm_.rank()));
+    const double total_sq = grouped_norm_allreduce(res_scratch_);
     const double penalty = penalty_value(x_scratch_);
     comm_.set_stats(snapshot);
     push_trace_point(iteration, 0.5 * total_sq + penalty, snapshot);
@@ -184,9 +183,9 @@ class LassoEngine final : public detail::EngineBase {
     //     the previous apply just updated. ---
     const std::size_t k_dots = spec_.accelerated ? k : 0;
     msg.layout(detail::triangle_size(k), k, k_dots);
-    // Gram partials per OWNED global row chunk, each into its fixed wire
-    // slot — the per-chunk sums are identical on every rank count, so the
-    // chunk-order fold after the reduction is too.
+    // Gram partials per OWNED global row chunk, summed over the rank's
+    // subtrees into its wire slots — the per-chunk sums are identical on
+    // every rank count, so the tree sum after the reduction is too.
     pack_gram_chunks(big_b_[buf], msg);
     comm_.add_flops(big_b_[buf].gram_flops());
   }

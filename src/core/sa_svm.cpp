@@ -50,9 +50,8 @@ class SvmEngine final : public detail::EngineBase {
     // The SVM reduces over the FEATURE axis (the primal slice is
     // column-partitioned), so the fixed grouping chunks columns.
     init_grouping(cols_);
-    // The G·m duality-gap block exists only for trace points.
-    if (spec_.trace_every > 0)
-      margins_chunks_.resize(grouping().num_chunks() * m_);
+    // The per-owned-chunk margins block exists only for trace points.
+    if (spec_.trace_every > 0) margins_chunks_.resize(owned_chunks() * m_);
     if (spec_.pipeline) {
       // Pre-size both round buffers up front, so short (never-speculating)
       // and long solves make identical allocations
@@ -74,23 +73,17 @@ class SvmEngine final : public detail::EngineBase {
     const std::vector<double>& b = block_.labels();
     const dist::CommStats snapshot = comm_.stats();
     // Duality gap evaluation (instrumentation only): margins need the full
-    // A·x.  Each rank contributes per-global-column-chunk partial
-    // products; one allreduce combines the G·m block, and the chunk-order
-    // fold below is identical on every rank count (the rank-count-
-    // invariant replacement for summing whole per-rank partials).
+    // A·x.  Each rank computes per-owned-column-chunk partial products,
+    // and tree_allreduce sums the m-word runs over the reduction tree and
+    // the ranks — the rank-count-invariant replacement for summing whole
+    // per-rank partials.
     la::fill(margins_chunks_, 0.0);
     for_owned_chunks([&](std::size_t c, std::size_t b, std::size_t e) {
       block_.matrix().spmv_col_range(
           x_loc_, b, e, std::span<double>(margins_chunks_).subspan(c * m_, m_));
     });
-    // sa-lint: allow(collective): duality-gap trace instrumentation only
-    comm_.allreduce_sum(margins_chunks_);
-    la::fill(margins_, 0.0);
-    for (std::size_t c = 0; c < grouping().num_chunks(); ++c)
-      for (std::size_t i = 0; i < m_; ++i)
-        margins_[i] += margins_chunks_[c * m_ + i];
-    const double x_norm_sq =
-        grouped_norm_allreduce(x_loc_, cols_.begin(comm_.rank()));
+    la::copy(tree_allreduce(margins_chunks_, m_), margins_);
+    const double x_norm_sq = grouped_norm_allreduce(x_loc_);
     double hinge_sum = 0.0;
     for (std::size_t i = 0; i < m_; ++i) {
       const double slack = std::max(0.0, 1.0 - b[i] * margins_[i]);
@@ -117,8 +110,8 @@ class SvmEngine final : public detail::EngineBase {
     //     section waits for finish_round (it reads the primal slice the
     //     previous apply just updated). ---
     msg.layout(detail::triangle_size(s_eff), s_eff, 0);
-    // Gram partials per OWNED global column chunk, each into its fixed
-    // wire slot (rank-count-invariant reduction grouping).
+    // Gram partials per OWNED global column chunk, summed into the rank's
+    // wire slots (rank-count-invariant reduction grouping).
     pack_gram_chunks(batch_b_[buf], msg);
     comm_.add_flops(batch_b_[buf].gram_flops());
   }
@@ -245,8 +238,9 @@ class SvmEngine final : public detail::EngineBase {
   std::uint64_t rng_mark_ = 0;
 
   // Trace scratch, reused across every trace point (no fresh vectors):
-  // the folded margins and the per-global-chunk partial block (G·m) the
-  // duality-gap reduction accumulates in — sized only when tracing.
+  // the summed margins and the per-owned-chunk partial block (one m-word
+  // run per owned chunk) the duality-gap reduction starts from — sized
+  // only when tracing.
   std::vector<double> margins_;
   std::vector<double> margins_chunks_;
 };

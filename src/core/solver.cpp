@@ -384,11 +384,13 @@ void EngineBase::run_round(std::size_t s_eff) {
     msg_ws_.doubles(buf == 0 ? kMsgSlotB : kMsgSlot, msg.total_words());
     msg_b_sized_ = true;
   }
-  if (piggyback_objective_)
-    // Per-global-chunk objective partials (one entry per owned chunk;
-    // foreign entries were zeroed by layout) — reduce_wait folds them in
-    // chunk order, so the summed partial is rank-count invariant.
+  if (piggyback_objective_) {
+    // Per-owned-chunk objective partials, summed over the rank's subtrees
+    // into its slots; reduce_wait evaluates the top of the tree, so the
+    // summed partial is rank-count invariant.
     write_objective_chunks(msg.objective_chunks());
+    msg.reduce_chunks(dist::RoundSection::kObjective);
+  }
   if (piggyback_wall_)
     // Replicated decision: every rank adopts rank 0's clock, so the ranks
     // agree on when to stop (their local clocks may not).  Sampled at
@@ -814,59 +816,57 @@ std::span<const double> EngineBase::gather_full(
 void EngineBase::init_grouping(const data::Partition& slices) {
   grouping_ = common::ReduceGrouping::make(slices.total(),
                                            spec_.reduction_chunk);
-  msg_.set_grouping(grouping_.num_chunks());
-  msg_b_.set_grouping(grouping_.num_chunks());
+  tree_ = common::ReduceTree(grouping_, slices.offsets(),
+                             static_cast<std::size_t>(comm_.rank()));
+  msg_.set_tree(tree_);
+  msg_b_.set_tree(tree_);
   const std::size_t pb = slices.begin(comm_.rank());
   const std::size_t pe = slices.end(comm_.rank());
-  owned_bounds_.clear();
-  for (std::size_t c = 0; c < grouping_.num_chunks(); ++c) {
-    const std::size_t b = std::max(grouping_.begin(c), pb);
-    const std::size_t e = std::min(grouping_.end(c), pe);
-    if (b >= e) continue;
-    if (owned_bounds_.empty()) {
-      first_owned_ = c;
-      owned_bounds_.push_back(b - pb);
-    }
-    owned_bounds_.push_back(e - pb);
+  owned_bounds_.assign(1, 0);
+  for (std::size_t j = 0; j < tree_.owned_chunks(); ++j) {
+    const std::size_t c = tree_.first_owned() + j;
+    owned_bounds_.push_back(std::min(grouping_.end(c), pe) - pb);
   }
-  if (owned_bounds_.empty()) owned_bounds_.push_back(0);
 }
 
 void EngineBase::pack_gram_chunks(const la::BatchView& view,
                                   dist::RoundMessage& msg) {
   la::sampled_gram_chunks(view, owned_bounds_, msg.chunk_stride(),
-                          msg.chunk_section(dist::RoundSection::kGram,
-                                            first_owned_));
+                          msg.chunk_section(dist::RoundSection::kGram));
+  msg.reduce_chunks(dist::RoundSection::kGram);
 }
 
 void EngineBase::pack_dot_chunks(
     const la::BatchView& view, std::span<const std::span<const double>> xs,
     dist::RoundMessage& msg) {
   la::sampled_dots_chunks(view, xs, owned_bounds_, msg.chunk_stride(),
-                          msg.chunk_dots(first_owned_));
+                          msg.chunk_dots());
+  msg.reduce_chunks(dist::RoundSection::kDots1);
+  msg.reduce_chunks(dist::RoundSection::kDots2);
 }
 
-double EngineBase::grouped_norm_allreduce(std::span<const double> local,
-                                          std::size_t global_begin) {
+std::span<const double> EngineBase::tree_allreduce(std::span<double> partials,
+                                                   std::size_t width) {
   SA_STEADY_STATE;
-  const std::size_t g = grouping_.num_chunks();
-  const std::span<double> partials = msg_ws_.doubles(kTraceSlot, g);
-  la::fill(partials, 0.0);
-  const std::size_t lo = global_begin;
-  const std::size_t hi = global_begin + local.size();
-  for (std::size_t c = 0; c < g; ++c) {
-    const std::size_t b = std::max(grouping_.begin(c), lo);
-    const std::size_t e = std::min(grouping_.end(c), hi);
-    if (b >= e) continue;
-    partials[c] = la::nrm2_squared(local.subspan(b - lo, e - b));
-  }
-  comm_.allreduce_sum(partials);
-  // Chunk-order fold (from +0.0, so a -0.0 chunk total is canonicalised):
-  // the accumulation order depends only on the chunk grid, never on the
-  // rank count.
-  double total = 0.0;
-  for (std::size_t c = 0; c < g; ++c) total += partials[c];
-  return total;
+  const std::span<double> wire =
+      msg_ws_.doubles(kTraceSlot, tree_.num_slots() * width);
+  la::fill(wire, 0.0);
+  tree_.reduce_owned(partials, wire, width, 0, width);
+  comm_.allreduce_sum(wire);
+  tree_.fold(wire, width, 0, width);
+  return wire.first(width);
+}
+
+double EngineBase::grouped_norm_allreduce(std::span<const double> local) {
+  SA_STEADY_STATE;
+  SA_CHECK(local.size() == owned_bounds_.back(),
+           "EngineBase::grouped_norm_allreduce: not this rank's slice");
+  const std::span<double> partials =
+      msg_ws_.doubles(kTraceChunkSlot, owned_chunks());
+  for_owned_chunks([&](std::size_t c, std::size_t b, std::size_t e) {
+    partials[c] = la::nrm2_squared(local.subspan(b, e - b));
+  });
+  return tree_allreduce(partials, 1)[0];
 }
 
 void EngineBase::snapshot_to_file(const std::string& path) {

@@ -1,6 +1,7 @@
 #include "data/libsvm_io.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -13,7 +14,8 @@ namespace sa::data {
 
 namespace {
 
-/// Parses a double from a token; throws with line context on failure.
+/// Parses a finite double from a token; throws with line context on
+/// failure.
 /// Accepts an explicit leading '+' (LIBSVM labels are often "+1"), which
 /// std::from_chars itself rejects.
 double parse_double(std::string_view token, std::size_t line_no) {
@@ -26,6 +28,10 @@ double parse_double(std::string_view token, std::size_t line_no) {
   SA_CHECK(ec == std::errc() && ptr == last,
            "libsvm: bad numeric token '" + std::string(token) + "' on line " +
                std::to_string(line_no));
+  // from_chars accepts "nan" and "inf"; the solvers need finite data.
+  SA_CHECK(std::isfinite(value),
+           "libsvm: non-finite numeric token '" + std::string(token) +
+               "' on line " + std::to_string(line_no));
   return value;
 }
 

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/check.hpp"
 #include "la/vector_ops.hpp"
 
 namespace sa::dist {
@@ -13,54 +14,54 @@ std::span<double> RoundMessage::layout(std::size_t gram_words,
             trailer_flags_, trailer_checksum_};
   chunk_offset_ = {0, gram_words, gram_words + dots1_words};
   chunk_stride_ = gram_words + dots1_words + dots2_words;
-  const std::size_t g = chunks_;
-  // Wire: G chunk bodies, the G-chunk objective block, then the scalar
-  // trailer words.  With G == 1 this is byte-for-byte the legacy layout.
-  const std::size_t bodies = g * chunk_stride_;
-  const std::size_t objective = g * trailer_objective_;
-  wire_words_ = bodies + objective + trailer_flags_ + trailer_checksum_;
-  // section() offsets: stop-flags/checksum always alias the wire; the
-  // body + objective sections alias the wire when G == 1 and the fold
-  // region (appended past the wire) when G > 1.
-  const std::size_t fold = g > 1 ? wire_words_ : 0;
-  offset_[0] = fold + 0;
-  offset_[1] = fold + gram_words;
-  offset_[2] = fold + gram_words + dots1_words;
-  offset_[3] = fold + chunk_stride_;
-  offset_[4] = bodies + objective;
-  offset_[5] = bodies + objective + trailer_flags_;
-  const std::size_t total =
-      g > 1 ? wire_words_ + chunk_stride_ + trailer_objective_ : wire_words_;
-  buffer_ = ws_.doubles(slot_, total);
-  if (g > 1) {
-    // Every chunk slot must start from +0.0: a rank only writes the
-    // chunks it owns, and foreign slots still hold the PREVIOUS round's
-    // reduced values.  (The fold region is recomputed by reduce_wait, but
-    // clearing it too keeps the buffer state trivially reasoned about.)
-    la::fill(buffer_, 0.0);
-  } else {
-    // The body is overwritten wholesale by the fused kernel; the trailer
-    // is written field-by-field by the round skeleton, so clear it here in
-    // case a rank packs fewer fields than the schema reserves (non-rank-0
-    // clocks).
-    la::fill(buffer_.subspan(chunk_stride_), 0.0);
-  }
+  // Wire: S slot bodies, the S-slot objective block, then the scalar
+  // trailer words.  Body and objective sections read slot 0.
+  const std::size_t slots = tree_.num_slots();
+  objective_ = slots * chunk_stride_;
+  const std::size_t flags = objective_ + slots * trailer_objective_;
+  wire_words_ = flags + trailer_flags_ + trailer_checksum_;
+  offset_ = {0, gram_words, gram_words + dots1_words, objective_, flags,
+             flags + trailer_flags_};
+  const std::size_t scratch =
+      direct() ? 0
+               : tree_.owned_chunks() * (chunk_stride_ + trailer_objective_);
+  buffer_ = ws_.doubles(slot_, wire_words_ + scratch);
+  la::fill(buffer_.first(wire_words_), 0.0);
   return buffer_.first(chunk_stride_);
+}
+
+void RoundMessage::reduce_chunks(RoundSection s) {
+  if (direct()) return;  // the kernels wrote the one own slot
+  const auto i = static_cast<std::size_t>(s);
+  const std::span<double> wire = buffer_.first(wire_words_);
+  const std::span<double> scratch = buffer_.subspan(wire_words_);
+  if (s == RoundSection::kObjective) {
+    const std::size_t nc = tree_.owned_chunks();
+    tree_.reduce_owned(scratch.subspan(nc * chunk_stride_),
+                       wire.subspan(objective_), trailer_objective_, 0,
+                       trailer_objective_);
+    return;
+  }
+  SA_CHECK(i < chunk_offset_.size(),
+           "RoundMessage::reduce_chunks: not a chunked section");
+  tree_.reduce_owned(scratch, wire, chunk_stride_, chunk_offset_[i],
+                     words_[i]);
 }
 
 void RoundMessage::seal() {
   if (trailer_checksum_ == 0) return;
   const std::uint64_t digest =
-      payload_digest(buffer_.first(chunks_ * chunk_stride_));
+      payload_digest(buffer_.first(tree_.num_slots() * chunk_stride_));
   section(RoundSection::kChecksum)[0] =
       static_cast<double>(digest & 0xffffffffull);
 }
 
 void RoundMessage::reduce_start(Communicator& comm) {
   comm.allreduce_start(buffer_.first(wire_words_));
-  // Metering reports WIRE words: chunked sections cost G slots each.
+  // Metering reports WIRE words: body and objective sections cost one
+  // run per tree slot.
   for (std::size_t i = 0; i < kRoundSectionCount; ++i) {
-    const std::size_t factor = i <= 3 ? chunks_ : 1;  // body + objective
+    const std::size_t factor = i <= 3 ? tree_.num_slots() : 1;
     comm.note_section(static_cast<RoundSection>(i), factor * words_[i]);
   }
 }
@@ -83,22 +84,12 @@ void RoundMessage::reduce_wait(Communicator& comm, double deadline_seconds) {
       throw CommFailure(FailureKind::kCorruption, os.str());
     }
   }
-  if (chunks_ <= 1) return;
-  // Fold the reduced chunks left-to-right in GLOBAL-CHUNK order into the
-  // fold region section() serves.  The order depends only on the chunk
-  // grid — never on the rank count — and starting from +0.0 canonicalises
-  // any -0.0 chunk total, so serial and P-rank folds are bit-identical.
-  std::span<double> fold = buffer_.subspan(
-      wire_words_, chunk_stride_ + trailer_objective_);
-  la::fill(fold, 0.0);
-  for (std::size_t c = 0; c < chunks_; ++c) {
-    const std::span<const double> body =
-        buffer_.subspan(c * chunk_stride_, chunk_stride_);
-    for (std::size_t i = 0; i < chunk_stride_; ++i) fold[i] += body[i];
-    for (std::size_t j = 0; j < trailer_objective_; ++j)
-      fold[chunk_stride_ + j] +=
-          buffer_[chunks_ * chunk_stride_ + c * trailer_objective_ + j];
-  }
+  // Top of the tree into slot 0, from the summed slots.  The order
+  // depends only on the tree, never on the rank count.
+  const std::size_t objective_words = tree_.num_slots() * trailer_objective_;
+  tree_.fold(buffer_.first(objective_), chunk_stride_, 0, chunk_stride_);
+  tree_.fold(buffer_.subspan(objective_, objective_words), trailer_objective_,
+             0, trailer_objective_);
 }
 
 }  // namespace sa::dist

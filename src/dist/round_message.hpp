@@ -1,31 +1,30 @@
 // The packed per-round message plane every solver speaks.
 //
 // One outer round of every algorithm family exchanges exactly ONE
-// collective, whose payload is a schema'd, contiguous buffer.  With the
-// default single-chunk grouping (G = 1) the wire layout is:
+// collective, whose payload is a schema'd, contiguous buffer.  The wire
+// carries one body slot per ReduceTree slot (common/grouping.hpp), then
+// the objective block and the scalar trailer:
+//
+//   [ slot 0: gram|dots1|dots2 ] … [ slot S-1 ] [ objective × S ]
+//   [ stop-flags | checksum ]  ‖  rank-local: [ chunk partials ]
+//
+// With one slot (serial, or the default single-chunk tree) this is
 //
 //   [ upper(G) | Yᵀỹ | Yᵀz̃ | objective | stop-flags | checksum ]
 //    └─ kGram ─┴kDots1┴kDots2┴kObjective─┴─kStopFlags┴─kChecksum┘
 //
-// Under a fixed global reduction grouping (set_grouping(G), G > 1 — see
-// common/grouping.hpp) the body sections are replicated per global chunk
-// so the reduction accumulates in chunk order, not rank order:
+// Each rank's pack kernels write the partials of the global chunks it
+// owns into rank-local scratch past the wire (chunk_section, chunk_dots,
+// objective_chunks); reduce_chunks then sums them over the rank's complete
+// subtrees into its own slots.  Foreign slots stay +0.0 and contribute
+// exactly nothing to the elementwise sum.  After reduce_wait, every rank
+// evaluates the top of the tree into slot 0, and section() serves the
+// totals there through the same accessors for any tree, so apply_round is
+// grouping-agnostic.  A rank that owns a single chunk has no scratch: its
+// kernels write straight into its one slot.  Only the wire rides the
+// collective; the scratch never leaves the rank.
 //
-//   [ chunk 0: gram|dots1|dots2 ] … [ chunk G-1 ] [ objective × G ]
-//   [ stop-flags | checksum ]  ‖  fold: [ gram|dots1|dots2|objective ]
-//
-// Each rank writes per-chunk partials for the global chunks it owns
-// (chunk_section/chunk_dots/objective_chunks); foreign chunk slots stay
-// +0.0 and contribute exactly nothing to the elementwise sum, so the wire
-// carries the per-chunk totals regardless of rank count.  After
-// reduce_wait, the chunks are folded left-to-right in global-chunk order
-// into the fold region past the wire; section() then serves the folded
-// sums through the same accessors the G = 1 path uses, so apply_round is
-// grouping-agnostic.  Folding from +0.0 also canonicalises any -0.0 chunk
-// total, keeping serial and multi-rank bits identical.  Only the wire
-// prefix rides the collective; the fold region never leaves the rank.
-//
-// The trailer sections piggy-back the stopping machinery: a per-chunk
+// The trailer sections piggy-back the stopping machinery: a per-slot
 // objective partial block (objective-tolerance stopping at round
 // granularity) and rank 0's wall clock (replicated wall-budget
 // decisions), so enabling those criteria costs zero extra messages — only
@@ -50,6 +49,7 @@
 #include <cstddef>
 #include <span>
 
+#include "common/grouping.hpp"
 #include "dist/comm.hpp"
 #include "la/workspace.hpp"
 
@@ -77,26 +77,22 @@ class RoundMessage {
     trailer_checksum_ = checksum_words;
   }
 
-  /// Declares the number of global reduction chunks the body sections are
-  /// replicated over.  Sticky, like the trailer sizes; the default (1)
-  /// reproduces the legacy single-partial wire byte for byte.
-  void set_grouping(std::size_t num_chunks) {
-    chunks_ = num_chunks == 0 ? 1 : num_chunks;
-  }
-  std::size_t num_chunks() const { return chunks_; }
+  /// Declares the reduction tree the body and objective sections sum
+  /// over.  Sticky, like the trailer sizes; the default tree (one chunk,
+  /// one slot) reproduces the single-partial wire.
+  void set_tree(const common::ReduceTree& tree) { tree_ = tree; }
 
-  /// Lays out one round's message and returns the contiguous body span
-  /// [gram | dots1 | dots2] of chunk 0 for the fused Gram+dots kernel
-  /// (the whole body under G = 1).  Invalidates spans from previous
-  /// rounds.  Under G = 1 the trailer is zero-initialised; under G > 1
-  /// the whole buffer is (foreign chunk slots must contribute +0.0, and
-  /// they hold the previous round's reduced values otherwise).
+  /// Lays out one round's message and returns slot 0's contiguous body
+  /// span [gram | dots1 | dots2].  Invalidates spans from previous rounds.
+  /// Zeroes the wire (foreign slots must contribute +0.0, and they hold
+  /// the previous round's reduced values otherwise); the chunk scratch is
+  /// the pack kernels' to overwrite.
   std::span<double> layout(std::size_t gram_words, std::size_t dots1_words,
                            std::size_t dots2_words);
 
-  /// Post-reduce view of a section.  Body + objective sections serve the
-  /// chunk-folded sums when G > 1 (valid after reduce_wait); stop-flags
-  /// and checksum always alias the wire.
+  /// Post-reduce view of a section.  Body and objective sections serve
+  /// slot 0, which holds the tree totals after reduce_wait; stop-flags and
+  /// checksum are the wire's trailer words.
   std::span<double> section(RoundSection s) {
     const auto i = static_cast<std::size_t>(s);
     return buffer_.subspan(offset_[i], words_[i]);
@@ -110,38 +106,45 @@ class RoundMessage {
   }
   std::size_t total_words() const { return buffer_.size(); }
 
-  /// The whole packed buffer (wire plus, under G > 1, the fold region).
+  /// The whole packed buffer (the wire, then any chunk scratch).
   std::span<double> packed() { return buffer_; }
 
-  /// Words between chunk c's and chunk c+1's slot of any body section.
+  /// Words between one chunk's (or slot's) body and the next one's.
   std::size_t chunk_stride() const { return chunk_stride_; }
 
-  /// Body section `s` (kGram/kDots1/kDots2) of chunks c, c+1, …, G−1 on
-  /// the wire, as one strided run: chunk c+j's slot is
-  /// [j·chunk_stride(), j·chunk_stride() + words(s)).  This is where a
-  /// rank's chunk-major pack kernel (la::sampled_gram_chunks) writes the
-  /// partials of the global chunks it owns, starting at its first one.
-  std::span<double> chunk_section(RoundSection s, std::size_t c) {
+  /// Body section `s` (kGram/kDots1/kDots2) of this rank's owned chunks,
+  /// as one strided run: owned chunk c's section is
+  /// [c·chunk_stride(), c·chunk_stride() + words(s)).  This is where the
+  /// rank's chunk-major pack kernel (la::sampled_gram_chunks) writes its
+  /// partials, before reduce_chunks(s).
+  std::span<double> chunk_section(RoundSection s) {
     const auto i = static_cast<std::size_t>(s);
-    return chunk_run(c, chunk_offset_[i], words_[i]);
+    return chunk_run(chunk_offset_[i], words_[i]);
   }
 
-  /// The contiguous [dots1 | dots2] half of chunks c, c+1, …, G−1, as a
-  /// strided run like chunk_section — the state-DEPENDENT sections the
-  /// split pack path (la::sampled_dots_chunks) writes after the previous
-  /// round's apply, while the Gram triangle may have been packed
-  /// speculatively a round earlier.
-  std::span<double> chunk_dots(std::size_t c) {
-    return chunk_run(c, chunk_offset_[1], words_[1] + words_[2]);
+  /// The contiguous [dots1 | dots2] half of the owned chunks, as a strided
+  /// run like chunk_section: the state-DEPENDENT sections the split pack
+  /// path (la::sampled_dots_chunks) writes after the previous round's
+  /// apply, while the Gram triangle may have been packed speculatively a
+  /// round earlier.
+  std::span<double> chunk_dots() {
+    return chunk_run(chunk_offset_[1], words_[1] + words_[2]);
   }
 
-  /// The G-chunk objective partial block on the wire (G × objective_words,
-  /// chunk-major).  Engines write per-owned-chunk objective partials here;
-  /// foreign chunk entries stay +0.0.
+  /// The owned chunks' objective partials (one run of objective words per
+  /// owned chunk), before reduce_chunks(kObjective).
   std::span<double> objective_chunks() {
-    return buffer_.subspan(chunks_ * chunk_stride_,
-                           chunks_ * trailer_objective_);
+    const std::size_t nc = tree_.owned_chunks();
+    const std::size_t base =
+        direct() ? objective_ + tree_.first_slot() * trailer_objective_
+                 : wire_words_ + nc * chunk_stride_;
+    return buffer_.subspan(base, nc * trailer_objective_);
   }
+
+  /// Sums section `s`'s owned chunk partials (kGram, kDots1, kDots2 or
+  /// kObjective) over this rank's subtrees into its wire slots.  Call once
+  /// per round and section, after the partials are written.
+  void reduce_chunks(RoundSection s);
 
   /// Writes the kChecksum trailer word (when reserved): the low 32 bits
   /// of this rank's FNV-1a body digest as an exactly-representable
@@ -159,13 +162,12 @@ class RoundMessage {
   void reduce_start(Communicator& comm);
 
   /// Completes the collective; afterwards every wire slot holds the
-  /// elementwise sum over ranks, and under G > 1 the chunks are folded
-  /// left-to-right in global-chunk order into the fold region section()
-  /// serves.  A positive `deadline_seconds` arms the communicator's
-  /// timeout detection, and when the checksum trailer is reserved and the
-  /// delivery digest enabled, the delivered wire is re-hashed against the
-  /// communicator's receipt — CommFailure(kCorruption) before any reduced
-  /// bit reaches the solver.
+  /// elementwise sum over ranks, and the top of the tree is evaluated into
+  /// slot 0, which section() serves.  A positive `deadline_seconds` arms
+  /// the communicator's timeout detection, and when the checksum trailer
+  /// is reserved and the delivery digest enabled, the delivered wire is
+  /// re-hashed against the communicator's receipt — CommFailure(kCorruption)
+  /// before any reduced bit reaches the solver.
   void reduce_wait(Communicator& comm, double deadline_seconds = 0.0);
 
   /// Blocking convenience: start + wait.
@@ -175,21 +177,28 @@ class RoundMessage {
   }
 
  private:
-  std::span<double> chunk_run(std::size_t c, std::size_t offset,
-                              std::size_t words) {
-    return buffer_.subspan(c * chunk_stride_ + offset,
-                           (chunks_ - 1 - c) * chunk_stride_ + words);
+  /// A rank that owns at most one chunk writes its partial straight into
+  /// its one slot; otherwise the partials go to scratch past the wire.
+  bool direct() const { return tree_.owned_chunks() <= 1; }
+
+  std::span<double> chunk_run(std::size_t offset, std::size_t words) {
+    const std::size_t nc = tree_.owned_chunks();
+    if (nc == 0) return {};
+    const std::size_t base =
+        direct() ? tree_.first_slot() * chunk_stride_ : wire_words_;
+    return buffer_.subspan(base + offset, (nc - 1) * chunk_stride_ + words);
   }
 
   la::Workspace& ws_;
   std::size_t slot_;
+  common::ReduceTree tree_;
   std::span<double> buffer_;
   std::array<std::size_t, kRoundSectionCount> words_{};
   std::array<std::size_t, kRoundSectionCount> offset_{};
   std::array<std::size_t, 3> chunk_offset_{};  // body offsets within a chunk
   std::size_t chunk_stride_ = 0;  // gram + dots1 + dots2 words per chunk
+  std::size_t objective_ = 0;     // wire offset of the objective block
   std::size_t wire_words_ = 0;    // what the collective carries
-  std::size_t chunks_ = 1;
   std::size_t trailer_objective_ = 0;
   std::size_t trailer_flags_ = 0;
   std::size_t trailer_checksum_ = 0;

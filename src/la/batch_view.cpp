@@ -18,13 +18,16 @@
 //   * Sparse Gram — accumulator kernel (SpGEMM row style).  Member i is
 //     scattered once into a dense per-thread accumulator; every partner
 //     dot v_i·v_j gathers through v_j's nonzeros only, and the fused dot
-//     sections v_i·x ride on the same sweep of member i.
+//     sections v_i·x ride on the same sweep of member i.  Partners that
+//     share no row with member i are skipped: their entry is exactly +0.0
+//     (see "Structural overlap" below).
 //
 // Output is the *packed* row-major upper triangle (plus optional dot
 // sections), written straight into the caller's allreduce buffer.
 #include "la/batch_view.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/annotate.hpp"
 #include "common/check.hpp"
@@ -69,20 +72,140 @@ struct Segment {
   std::size_t n;
 };
 
+// ---------------------------------------------------------------------------
+// Structural overlap.  Inside one chunk, a pair (i, j) whose segments share
+// no row gathers only val·(+0.0) products through the all-zero accumulator,
+// and those sum to exactly +0.0 on every kernel table (for finite values).
+// So the sparse Gram runs gather_dot2 only on the pairs that share a row
+// and writes +0.0 for the rest: the same bits as gathering every pair.
+//
+// The pairs come from per-row member lists.  head[r] is 1 + the link of the
+// highest member with a nonzero at row r, and each link names its member
+// and the next lower one at the same row.  head is grow-only, all-zero
+// scratch like the accumulator: unlink_rows restores the zeros it set, so
+// finding a chunk's pairs costs O(nnz in the chunk + pairs).  The link
+// table holds kLinksPerMember links per member, a size fixed by k alone,
+// so later rounds never grow it (steady-state rounds allocate nothing).
+// A chunk with more nonzeros than that gathers every pair instead.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kLinksPerMember = 32;
+
+struct RowLink {
+  std::uint32_t member;
+  std::uint32_t next;  // 1 + the next lower member's link; 0 ends the list
+};
+
+struct RowLinks {
+  std::span<std::uint32_t> head;  // one entry per row of the view
+  std::span<RowLink> links;
+  bool linked = false;  // false: gather every pair
+};
+
+/// The calling thread's row lists, sized for y; shared with the team
+/// through the spans (only the preparing thread writes them).
+RowLinks row_links(const BatchView& y) {
+  thread_local std::vector<std::uint32_t> head;
+  thread_local std::vector<RowLink> links;
+  const std::size_t cap = kLinksPerMember * y.size();
+  SA_CHECK(cap < (std::size_t{1} << 32), "sparse Gram: batch too large");
+  // Grow-only thread-local scratch; head stays all-zero between chunks.
+  // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
+  if (head.size() < y.dim()) head.resize(y.dim(), 0);
+  // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
+  if (links.size() < cap) links.resize(cap);
+  return {std::span<std::uint32_t>(head.data(), y.dim()),
+          std::span<RowLink>(links.data(), cap), false};
+}
+
+/// Links the nonzeros of `segs` into per-row member lists.  Leaves them
+/// unlinked (every pair gathered) for a single member, whose only pair is
+/// the diagonal, and when the nonzeros overflow the link table.
+void link_rows(std::span<const Segment> segs, RowLinks& rl) {
+  rl.linked = false;
+  if (segs.size() < 2) return;
+  std::size_t n = 0;
+  for (const Segment& s : segs) n += s.n;
+  if (n > rl.links.size()) return;
+  std::uint32_t e = 0;
+  for (std::size_t j = 0; j < segs.size(); ++j) {
+    for (std::size_t p = 0; p < segs[j].n; ++p) {
+      std::uint32_t& h = rl.head[segs[j].idx[p]];
+      rl.links[e] = {static_cast<std::uint32_t>(j), h};
+      h = ++e;
+    }
+  }
+  rl.linked = true;
+}
+
+/// Restores the head entries link_rows set for the same `segs`.
+void unlink_rows(std::span<const Segment> segs, RowLinks& rl) {
+  if (!rl.linked) return;
+  for (const Segment& s : segs)
+    for (std::size_t p = 0; p < s.n; ++p) rl.head[s.idx[p]] = 0;
+  rl.linked = false;
+}
+
+/// Per-thread partner list of one Gram row: marks[j] flags a partner
+/// already listed (all-zero between rows).
+struct Partners {
+  std::vector<std::uint8_t> marks;
+  std::vector<std::uint32_t> list;
+};
+
+Partners& partner_workspace(std::size_t k) {
+  thread_local Partners p;
+  // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
+  if (p.marks.size() < k) p.marks.resize(k, 0);
+  // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
+  if (p.list.size() < k) p.list.resize(k);
+  return p;
+}
+
 /// Packed Gram row of member i (entries (i, j ≥ i), contiguous in the
-/// packed layout, starting at `row`): scatters seg(i) into the all-zero
-/// accumulator, gathers every partner seg(j) through it, and restores the
-/// zeros.  Partner dots use the two-accumulator legacy order at the scalar
-/// level and vector gathers above it.
-template <typename SegmentOf>
-void sparse_gram_row(const SegmentOf& seg, std::size_t i, std::size_t k,
-                     std::vector<double>& acc, double* row,
+/// packed layout, starting at `row`): scatters segs[i] into the all-zero
+/// accumulator, gathers the partners segs[j] through it, and restores the
+/// zeros.  With `rl` linked, only the partners that share a row with
+/// member i are gathered and the other entries are +0.0.  Partner dots use
+/// the two-accumulator legacy order at the scalar level and vector gathers
+/// above it.
+void sparse_gram_row(std::span<const Segment> segs, const RowLinks& rl,
+                     std::size_t i, std::vector<double>& acc, double* row,
                      const simd::KernelTable& kt) {
-  const Segment si = seg(i);
+  const std::size_t k = segs.size();
+  const Segment si = segs[i];
   for (std::size_t p = 0; p < si.n; ++p) acc[si.idx[p]] = si.val[p];
-  for (std::size_t j = i; j < k; ++j) {
-    const Segment sj = seg(j);
-    row[j - i] = kt.gather_dot2(sj.val, sj.idx, sj.n, acc.data());
+  if (!rl.linked) {
+    for (std::size_t j = i; j < k; ++j) {
+      const Segment sj = segs[j];
+      row[j - i] = kt.gather_dot2(sj.val, sj.idx, sj.n, acc.data());
+    }
+  } else {
+    std::fill_n(row, k - i, 0.0);
+    if (si.n > 0) {
+      row[0] = kt.gather_dot2(si.val, si.idx, si.n, acc.data());
+      // Members above i sharing a row with it: each row's list runs from
+      // the highest member down, so the walk stops at i.
+      Partners& pt = partner_workspace(k);
+      std::size_t np = 0;
+      for (std::size_t p = 0; p < si.n; ++p) {
+        for (std::uint32_t e = rl.head[si.idx[p]]; e != 0;) {
+          const RowLink link = rl.links[e - 1];
+          if (link.member <= i) break;
+          if (pt.marks[link.member] == 0) {
+            pt.marks[link.member] = 1;
+            pt.list[np++] = link.member;
+          }
+          e = link.next;
+        }
+      }
+      for (std::size_t q = 0; q < np; ++q) {
+        const std::size_t j = pt.list[q];
+        const Segment sj = segs[j];
+        row[j - i] = kt.gather_dot2(sj.val, sj.idx, sj.n, acc.data());
+        pt.marks[j] = 0;
+      }
+    }
   }
   for (std::size_t p = 0; p < si.n; ++p) acc[si.idx[p]] = 0.0;
 }
@@ -311,20 +434,23 @@ void sampled_gram_and_dots(const BatchView& y,
 
   // Sparse: one fused sweep per member — Gram row + dot entries together.
   const bool parallel = k * y.nnz() >= kParallelFlopThreshold && k > 1;
-  const auto whole = [&](std::size_t j) {
-    return Segment{y.member_indices(j).data(), y.member_values(j).data(),
-                   y.member_nnz(j)};
-  };
+  const std::span<Segment> segs = chunk_scratch<Segment>(k);
+  for (std::size_t j = 0; j < k; ++j)
+    segs[j] = {y.member_indices(j).data(), y.member_values(j).data(),
+               y.member_nnz(j)};
+  RowLinks rl = row_links(y);
+  link_rows(segs, rl);
   parallel_for(k, parallel, [&](std::size_t i) {
-    sparse_gram_row(whole, i, k, sparse_gram_workspace(d),
+    sparse_gram_row(segs, rl, i, sparse_gram_workspace(d),
                     g + packed_upper_index(i, i, k), kt);
     // Fused dot sections: v_i · x, in the same gather order as the
     // sparse-dense dot kernel (sparse_vector.cpp) — bit-identical to a
     // separate batch_dots pass.
-    const Segment si = whole(i);
+    const Segment si = segs[i];
     for (std::size_t sct = 0; sct < xs.size(); ++sct)
       dots[sct * k + i] = kt.gather_dot(si.val, si.idx, si.n, xs[sct].data());
   });
+  unlink_rows(segs, rl);
 }
 
 void sampled_gram_chunks(const BatchView& y,
@@ -360,20 +486,24 @@ void sampled_gram_chunks(const BatchView& y,
     return;
   }
   // Sparse: per member the same scatter + partner gathers as the
-  // full-range row, over the members' segments in the chunk.
+  // full-range row, over the members' segments in the chunk.  Preparing a
+  // chunk unlinks the previous chunk's rows, then links its own.
   const std::span<Segment> segs = start_segments(y);
+  RowLinks rl = row_links(y);
   const bool parallel = k * y.nnz() >= kParallelFlopThreshold && k > 1;
   for_each_chunk(
       nc, k, parallel,
       [&](std::size_t c) {
+        unlink_rows(segs, rl);
         advance_segments(y, bounds[c], bounds[c + 1], segs);
+        link_rows(segs, rl);
       },
       [&](std::size_t c, std::size_t i) {
-        sparse_gram_row([&](std::size_t j) { return segs[j]; }, i, k,
-                        sparse_gram_workspace(y.dim()),
+        sparse_gram_row(segs, rl, i, sparse_gram_workspace(y.dim()),
                         out.data() + c * stride + packed_upper_index(i, i, k),
                         kt);
       });
+  unlink_rows(segs, rl);
 }
 
 void sampled_dots_chunks(const BatchView& y,

@@ -88,11 +88,12 @@ class BatchView {
   void add_scaled_to(std::size_t i, double alpha,
                      std::span<double> target) const;
 
-  /// Flops of the packed Gram kernel on this view, matching the kernels
-  /// exactly: dense k(k+1)·dim (2·dim per pair over the upper triangle);
-  /// sparse Σ_j 2(j+1)·nnz_j (the accumulator kernel gathers through v_j's
-  /// nonzeros for every pair (i ≤ j, j)).  Deterministic, used by the
-  /// cost model.
+  /// Flops of the packed Gram kernel on this view, as a model formula:
+  /// dense k(k+1)·dim (2·dim per pair over the upper triangle); sparse
+  /// Σ_j 2(j+1)·nnz_j (a gather through v_j's nonzeros for every pair
+  /// (i ≤ j, j)).  The sparse kernels skip the pairs that share no row, so
+  /// they do at most this much work.  Deterministic, used by the cost
+  /// model.
   std::size_t gram_flops() const;
 
   /// Flops of one dot section (2·nnz).

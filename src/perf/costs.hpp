@@ -24,11 +24,11 @@ struct BcdParams {
   /// The single-message round plane means enabled stopping criteria cost
   /// bandwidth only — L is unchanged, W grows by flag_words per round.
   std::size_t flag_words = 0;
-  /// G — number of chunks in the fixed reduction grouping
-  /// (common::ReduceGrouping).  The rank-count-invariant wire carries one
-  /// partial PER GLOBAL CHUNK for the Gram/dot payload, so those terms
-  /// scale by G (latency does not: still one collective per round).
-  std::size_t reduction_chunks = 1;
+  /// Wire slots of the fixed reduction grouping: the rank-count-invariant
+  /// wire carries one Gram/dot payload per ReduceTree slot, so those terms
+  /// scale by the slot count (latency does not: still one collective per
+  /// round).  common::wire_slot_count gives it for a rank partition.
+  std::size_t wire_slots = 1;
 };
 
 /// The four Table I cost terms.
@@ -59,9 +59,9 @@ struct SvmParams {
   int processors = 1;          ///< P
   /// Piggy-backed trailer words per round (see BcdParams::flag_words).
   std::size_t flag_words = 0;
-  /// Chunks in the fixed reduction grouping (see
-  /// BcdParams::reduction_chunks) — scales the Gram/dot payload terms.
-  std::size_t reduction_chunks = 1;
+  /// Wire slots of the fixed reduction grouping (see
+  /// BcdParams::wire_slots) — scales the Gram/dot payload terms.
+  std::size_t wire_slots = 1;
 };
 
 /// SVM dual CD (Algorithm 3): per iteration one allreduce of O(1) words,

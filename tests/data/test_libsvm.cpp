@@ -1,7 +1,10 @@
 // Tests for the LIBSVM reader/writer.
 #include "data/libsvm_io.hpp"
 
+#include <cmath>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -87,6 +90,62 @@ TEST(LibsvmRead, RejectsMalformedTokens) {
   EXPECT_THROW(read_libsvm(bad_value), sa::PreconditionError);
   std::istringstream bad_index("+1 x:1\n");
   EXPECT_THROW(read_libsvm(bad_index), sa::PreconditionError);
+}
+
+/// The message of the PreconditionError `f` throws ("" when none).
+template <typename F>
+std::string rejection(F&& f) {
+  try {
+    f();
+  } catch (const sa::PreconditionError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(LibsvmRead, RejectsNonFiniteTokensNamingTheLine) {
+  // std::from_chars accepts these spellings; the reader must not.
+  for (const std::string token : {"nan", "NaN", "inf", "-inf", "infinity"}) {
+    std::istringstream value("+1 1:0.5\n-1 2:" + token + "\n");
+    const std::string what = rejection([&] { read_libsvm(value); });
+    EXPECT_NE(what.find("non-finite"), std::string::npos) << token;
+    EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+    std::istringstream label("+1 1:0.5\n\n" + token + " 2:1\n");
+    const std::string label_what = rejection([&] { read_libsvm(label); });
+    EXPECT_NE(label_what.find("line 3"), std::string::npos) << label_what;
+  }
+}
+
+TEST(LibsvmFileIo, ReadFileRejectsNonFiniteValues) {
+  const std::string path = ::testing::TempDir() + "/sa_opt_nan.libsvm";
+  {
+    std::ofstream out(path);
+    out << "+1 1:1 2:2\n-1 1:0.5\n+1 3:nan\n";
+  }
+  const std::string what = rejection([&] { read_libsvm_file(path); });
+  EXPECT_NE(what.find("'nan' on line 3"), std::string::npos) << what;
+}
+
+TEST(DatasetValidate, RejectsNonFiniteValuesNamingRowAndColumn) {
+  Dataset d;
+  d.a = la::CsrMatrix::from_triplets(
+      3, 4, {{0, 0, 1.0}, {1, 1, 2.0}, {1, 3, std::nan("")}, {2, 2, 1.0}});
+  d.b = {1.0, -1.0, 1.0};
+  std::string what = rejection([&] { d.validate(); });
+  EXPECT_NE(what.find("row 1, column 3"), std::string::npos) << what;
+
+  d.a = la::CsrMatrix::from_triplets(
+      3, 4, {{0, 0, 1.0}, {2, 0, -INFINITY}, {2, 2, INFINITY}});
+  what = rejection([&] { d.validate(); });
+  EXPECT_NE(what.find("row 2, column 0"), std::string::npos) << what;
+
+  d.a = la::CsrMatrix::from_triplets(3, 4, {{0, 0, 1.0}});
+  d.b = {1.0, INFINITY, std::nan("")};
+  what = rejection([&] { d.validate(); });
+  EXPECT_NE(what.find("label inf in row 1"), std::string::npos) << what;
+
+  d.b = {1.0, -1.0, 0.5};
+  EXPECT_NO_THROW(d.validate());
 }
 
 TEST(LibsvmRead, MissingFileThrows) {

@@ -33,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "common/grouping.hpp"
 #include "core/registry.hpp"
 #include "data/synthetic.hpp"
 #include "dist/thread_comm.hpp"
@@ -536,6 +537,25 @@ TEST_F(SnapshotNegative, DoctoredGroupingVersionIsRejected) {
   std::memcpy(doctored.data() + payload, &foreign, sizeof(foreign));
   restamp_checksum(doctored);
   expect_rejected(doctored, "grouping version");
+}
+
+TEST_F(SnapshotNegative, GroupingVersionOneIsRejectedNamingBothVersions) {
+  // Version 1 folded the chunks left to right; this build sums them over
+  // the reduction tree (version 2), so a version-1 snapshot's sums cannot
+  // be continued bitwise.  Doctored as above: version word set to 1,
+  // checksum restamped.
+  ASSERT_EQ(common::kReduceGroupingVersion, 2u);
+  std::vector<std::uint8_t> old = image_;
+  const std::string name = "core/grouping";
+  const auto it = std::search(old.begin(), old.end(), name.begin(), name.end());
+  ASSERT_NE(it, old.end()) << "snapshot lacks the grouping section";
+  const std::size_t payload = static_cast<std::size_t>(it - old.begin()) +
+                              ((name.size() + 7) & ~std::size_t{7}) + 8;
+  const std::uint64_t version_one = 1;
+  std::memcpy(old.data() + payload, &version_one, sizeof(version_one));
+  restamp_checksum(old);
+  expect_rejected(old, "grouping version 1 in the snapshot");
+  expect_rejected(old, "implements grouping version 2");
 }
 
 TEST_F(SnapshotNegative, GroupingChunkMismatchIsRejected) {

@@ -10,14 +10,21 @@
 //      back-to-back full solves are bitwise identical.
 //   3. Cross-ISA parity — SIMD tables agree with scalar to 1e-12
 //      (mass-relative), and axpy is bit-identical across ALL levels.
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "core/local_data.hpp"
 #include "core/registry.hpp"
@@ -348,6 +355,155 @@ TEST(PerIsa, FusedMatchesSplitBitwise) {
                                 run_split(d, ws_split)))
           << "isa " << simd::to_cstring(isa) << " density " << density;
     }
+  }
+}
+
+// The sparse Gram kernels skip the pairs that share no row inside a chunk
+// and write +0.0 for them.  Pinned here against a test-local every-pair
+// reference that gathers EVERY pair through the same gather_dot2 table
+// entry — the pre-skip kernel — with memcmp, which, unlike ASSERT_EQ,
+// tells -0.0 from +0.0.  Inputs: explicitly stored 0.0 and -0.0 values,
+// duplicate and empty members, empty chunks, k ∈ {1, 8, 128}, a sparse and
+// a denser batch (the denser one overflows the link table on the whole
+// range and takes the OpenMP path at k = 128), one and several threads.
+
+/// Hand-made sparse members over `dim` rows (absolute, strictly
+/// increasing indices).
+struct SparseMembers {
+  std::size_t dim = 0;
+  std::vector<std::vector<std::size_t>> idx;
+  std::vector<std::vector<double>> val;
+  std::vector<std::span<const std::size_t>> idx_spans;
+  std::vector<std::span<const double>> val_spans;
+
+  BatchView view() {
+    idx_spans.assign(idx.begin(), idx.end());
+    val_spans.assign(val.begin(), val.end());
+    return BatchView::sparse(idx_spans, val_spans, dim);
+  }
+};
+
+SparseMembers make_members(std::size_t k, std::size_t dim, double density,
+                           std::uint64_t seed) {
+  data::SplitMix64 rng(seed);
+  SparseMembers m;
+  m.dim = dim;
+  m.idx.resize(k);
+  m.val.resize(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    if (i % 5 == 3) {  // a duplicate of the previous member
+      m.idx[i] = m.idx[i - 1];
+      m.val[i] = m.val[i - 1];
+      continue;
+    }
+    if (i % 7 == 6) continue;  // an empty member
+    for (std::size_t r = 0; r < dim; ++r) {
+      if (rng.next_double() >= density) continue;
+      m.idx[i].push_back(r);
+      const double u = rng.next_double();
+      // Explicitly stored zeros of both signs among the values.
+      m.val[i].push_back(u < 0.1 ? 0.0 : u < 0.2 ? -0.0 : rng.next_normal());
+    }
+  }
+  return m;
+}
+
+/// Every-pair packed Gram of rows [b, e) into `out`: member i's in-range
+/// nonzeros scattered into an all-zero accumulator, then gather_dot2 over
+/// every partner j ≥ i.
+void every_pair_gram(const SparseMembers& m, std::size_t b, std::size_t e,
+                     const simd::KernelTable& kt, double* out) {
+  const std::size_t k = m.idx.size();
+  const auto seg = [&](std::size_t i) {
+    const std::vector<std::size_t>& idx = m.idx[i];
+    const auto lo = static_cast<std::size_t>(
+        std::lower_bound(idx.begin(), idx.end(), b) - idx.begin());
+    const auto hi = static_cast<std::size_t>(
+        std::lower_bound(idx.begin(), idx.end(), e) - idx.begin());
+    return std::pair<std::size_t, std::size_t>{lo, hi - lo};
+  };
+  std::vector<double> acc(m.dim, 0.0);
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto [pi, ni] = seg(i);
+    for (std::size_t p = pi; p < pi + ni; ++p) acc[m.idx[i][p]] = m.val[i][p];
+    for (std::size_t j = i; j < k; ++j) {
+      const auto [pj, nj] = seg(j);
+      out[w++] = kt.gather_dot2(m.val[j].data() + pj, m.idx[j].data() + pj,
+                                nj, acc.data());
+    }
+    for (std::size_t p = pi; p < pi + ni; ++p) acc[m.idx[i][p]] = 0.0;
+  }
+}
+
+TEST(PerIsa, SparseGramSkipMatchesEveryPairReferenceBitwise) {
+  IsaGuard guard;
+#ifdef _OPENMP
+  const int max_threads = omp_get_max_threads();
+  const std::vector<int> thread_counts{1, std::max(2, max_threads)};
+#else
+  const std::vector<int> thread_counts{1};
+#endif
+  const std::size_t dim = 600;
+  // Global chunk boundaries with empty chunks at the front, middle and end.
+  const std::vector<std::size_t> bounds{0, 0, 75, 75, 150, 300, 301,
+                                        450, 600, 600};
+  const std::size_t nc = bounds.size() - 1;
+  const std::vector<double> x1 = random_vector(dim, 5);
+  const std::vector<double> x2 = random_vector(dim, 6);
+  const std::array<std::span<const double>, 2> xs{std::span<const double>(x1),
+                                                  std::span<const double>(x2)};
+  for (const Isa isa : available_isas()) {
+    ASSERT_TRUE(simd::set_kernel_isa(isa));
+    const simd::KernelTable& kt = simd::active();
+    for (const int threads : thread_counts) {
+#ifdef _OPENMP
+      omp_set_num_threads(threads);
+#endif
+      for (const std::size_t k : {std::size_t{1}, std::size_t{8},
+                                  std::size_t{128}}) {
+        for (const double density : {0.01, 0.2}) {
+          SparseMembers m = make_members(k, dim, density, 7 * k + 1);
+          const BatchView view = m.view();
+          const std::string where =
+              std::string("isa ") + simd::to_cstring(isa) + " threads " +
+              std::to_string(threads) + " k " + std::to_string(k) +
+              " density " + std::to_string(density);
+          const std::size_t tri = k * (k + 1) / 2;
+
+          // Chunk-major kernel vs the reference per chunk; gap words stay.
+          const std::size_t stride = tri + 3;
+          std::vector<double> got(nc * stride, 7.0);
+          std::vector<double> want(nc * stride, 7.0);
+          sampled_gram_chunks(view, bounds, stride, got);
+          for (std::size_t c = 0; c < nc; ++c)
+            every_pair_gram(m, bounds[c], bounds[c + 1], kt,
+                            want.data() + c * stride);
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(double)),
+                    0)
+              << "sampled_gram_chunks, " << where;
+
+          // Whole-range fused kernel: Gram plus two dot sections.
+          std::vector<double> fused(fused_buffer_size(k, 2), 7.0);
+          std::vector<double> ref(fused.size(), 7.0);
+          sampled_gram_and_dots(view, xs, fused);
+          every_pair_gram(m, 0, dim, kt, ref.data());
+          for (std::size_t sct = 0; sct < 2; ++sct)
+            for (std::size_t i = 0; i < k; ++i)
+              ref[tri + sct * k + i] =
+                  kt.gather_dot(m.val[i].data(), m.idx[i].data(),
+                                m.idx[i].size(), xs[sct].data());
+          EXPECT_EQ(std::memcmp(fused.data(), ref.data(),
+                                fused.size() * sizeof(double)),
+                    0)
+              << "sampled_gram_and_dots, " << where;
+        }
+      }
+    }
+#ifdef _OPENMP
+    omp_set_num_threads(max_threads);
+#endif
   }
 }
 

@@ -63,9 +63,11 @@ BcdParams params_for(const data::Dataset& d, std::size_t mu, std::size_t s,
   p.rows = d.num_points();
   p.cols = d.num_features();
   p.processors = ranks;
-  // The wire carries one Gram/dot partial per global reduction chunk.
-  p.reduction_chunks =
-      common::ReduceGrouping::make(d.num_points()).num_chunks();
+  // The wire carries one Gram/dot payload per reduction-tree slot of the
+  // partition metered_lasso runs on.
+  p.wire_slots = common::wire_slot_count(
+      common::ReduceGrouping::make(d.num_points()),
+      data::Partition::block(d.num_points(), ranks).offsets());
   return p;
 }
 
@@ -160,8 +162,8 @@ TEST(ModelVsMetered, SvmLatencyCountsMatchExactly) {
     p.rows = d.num_points();
     p.cols = d.num_features();
     p.processors = ranks;
-    p.reduction_chunks =
-        common::ReduceGrouping::make(d.num_features()).num_chunks();
+    p.wire_slots = common::wire_slot_count(
+        common::ReduceGrouping::make(d.num_features()), cols.offsets());
     const Costs model = s == 0 ? svm_costs(p) : sa_svm_costs(p);
     // +1 collective: the final primal-vector assembly (log2(4) = 2 rounds).
     EXPECT_DOUBLE_EQ(model.latency + 2.0,
