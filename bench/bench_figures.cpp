@@ -49,8 +49,7 @@
 #include "data/synthetic.hpp"
 #include "dist/thread_comm.hpp"
 #include "la/vector_ops.hpp"
-#include "perf/costs.hpp"
-#include "perf/scaling.hpp"
+#include "perf/model.hpp"
 
 namespace {
 
@@ -60,6 +59,16 @@ using sa::core::SolverSpec;
 // The metered runs (runtime, table5) execute on this many thread-backed
 // ranks; their counters are rescaled to the paper's processor counts.
 constexpr int kMeasuredRanks = 2;
+
+/// Modelled seconds of counters metered on kMeasuredRanks ranks, rescaled
+/// to `target_p` ranks and priced on the Cray XC30-like machine.
+double paper_scale_seconds(const sa::dist::CommStats& metered, int target_p) {
+  return sa::perf::price(
+             sa::perf::costs(
+                 sa::perf::rescale(metered, kMeasuredRanks, target_p)),
+             sa::perf::MachineParams::cray_xc30())
+      .total_seconds();
+}
 
 struct Config {
   bool smoke = false;
@@ -267,8 +276,7 @@ void run_runtime(const Config& cfg, JsonSink& json) {
     const SolveResult r = sa::core::solve_on_ranks(
         dataset_for(id, cfg), spec_for(id, cfg), kMeasuredRanks);
     rows.push_back({id,
-                    sa::bench::modelled_seconds(r.trace.final_stats,
-                                                kMeasuredRanks, cfg.target_p),
+                    paper_scale_seconds(r.trace.final_stats, cfg.target_p),
                     r.final_objective(), r.stats.collectives});
   }
   std::printf("%-16s %14s %14s %14s %12s\n", "algorithm", "modelled time",
@@ -303,8 +311,8 @@ void run_scaling(const Config& cfg, JsonSink& json) {
       "faster everywhere, gap widens with P; speedup vs s rises then "
       "falls.");
 
-  const sa::dist::MachineParams machine =
-      sa::dist::MachineParams::cray_xc30();
+  const sa::perf::MachineParams machine =
+      sa::perf::MachineParams::cray_xc30();
   const std::vector<std::size_t> s_candidates{1, 2,  4,  8,  16,
                                               32, 64, 128, 256};
 
@@ -341,7 +349,7 @@ void run_scaling(const Config& cfg, JsonSink& json) {
               "computation");
   std::vector<std::string> sweep_items;
   for (const sa::perf::SpeedupBreakdown& b :
-       sa::perf::bcd_speedup_sweep(bcd, {2, 4, 8, 16, 32, 64}, machine)) {
+       sa::perf::speedup_sweep(bcd, {2, 4, 8, 16, 32, 64}, machine)) {
     std::printf("%8zu %9.2fx %15.2fx %13.2fx\n", b.s, b.total,
                 b.communication, b.computation);
     sweep_items.push_back(
@@ -364,7 +372,7 @@ void run_scaling(const Config& cfg, JsonSink& json) {
   std::printf("%8s %10s %16s %14s\n", "s", "total", "communication",
               "computation");
   std::vector<std::string> svm_items;
-  for (const sa::perf::SpeedupBreakdown& b : sa::perf::svm_speedup_sweep(
+  for (const sa::perf::SpeedupBreakdown& b : sa::perf::speedup_sweep(
            svm, {2, 4, 8, 16, 32, 64, 128}, machine)) {
     std::printf("%8zu %9.2fx %15.2fx %13.2fx\n", b.s, b.total,
                 b.communication, b.computation);
@@ -464,7 +472,7 @@ void run_table1(const Config& /*cfg*/, JsonSink& json) {
               p.processors);
 
   std::vector<std::string> items;
-  const sa::perf::Costs ref = sa::perf::accbcd_costs(p);
+  const sa::perf::Costs ref = sa::perf::costs(p);
   std::printf("%-14s %14s %14s %14s %14s\n", "algorithm", "F", "M", "L",
               "W");
   std::printf("%-14s %14.4g %14.4g %14.4g %14.4g\n", "accBCD", ref.flops,
@@ -474,7 +482,7 @@ void run_table1(const Config& /*cfg*/, JsonSink& json) {
   for (std::size_t s : {2, 4, 8, 16, 32, 64, 128}) {
     sa::perf::BcdParams q = p;
     q.s = s;
-    const sa::perf::Costs sa = sa::perf::sa_accbcd_costs(q);
+    const sa::perf::Costs sa = sa::perf::costs(q);
     std::printf("SA-accBCD s=%-3zu %13.4g %14.4g %14.4g %14.4g"
                 "   (L/s ratio %.1f, W ratio %.1f)\n",
                 s, sa.flops, sa.memory, sa.latency, sa.bandwidth,
@@ -490,14 +498,14 @@ void run_table1(const Config& /*cfg*/, JsonSink& json) {
   sp.rows = 100000;
   sp.cols = 20000;
   sp.processors = 512;
-  const sa::perf::Costs svm_ref = sa::perf::svm_costs(sp);
+  const sa::perf::Costs svm_ref = sa::perf::costs(sp);
   std::printf("%-14s %14.4g %14.4g %14.4g %14.4g\n", "SVM", svm_ref.flops,
               svm_ref.memory, svm_ref.latency, svm_ref.bandwidth);
   items.push_back("{\"algorithm\":\"SVM\",\"s\":1," + jcosts(svm_ref) + "}");
   for (std::size_t s : {16, 64, 256}) {
     sa::perf::SvmParams q = sp;
     q.s = s;
-    const sa::perf::Costs sa = sa::perf::sa_svm_costs(q);
+    const sa::perf::Costs sa = sa::perf::costs(q);
     std::printf("SA-SVM s=%-5zu %14.4g %14.4g %14.4g %14.4g\n", s, sa.flops,
                 sa.memory, sa.latency, sa.bandwidth);
     items.push_back("{\"algorithm\":\"SA-SVM\",\"s\":" +
@@ -669,16 +677,16 @@ void run_table5(const Config& cfg, JsonSink& json) {
                 d.name.c_str(), pt.target_p, d.num_points(),
                 d.num_features(), 100.0 * d.density());
 
-    const double ref_seconds = sa::bench::modelled_seconds(
-        run_svm_metered(d, 0, h), kMeasuredRanks, pt.target_p);
+    const double ref_seconds =
+        paper_scale_seconds(run_svm_metered(d, 0, h), pt.target_p);
     std::printf("%-16s %14.4fs\n", "SVM-L1", ref_seconds);
 
     double best_speedup = 0.0;
     std::size_t best_s = 0;
     std::vector<std::string> sweep;
     for (std::size_t s : {16, 32, 64, 128, 256}) {
-      const double seconds = sa::bench::modelled_seconds(
-          run_svm_metered(d, s, h), kMeasuredRanks, pt.target_p);
+      const double seconds =
+          paper_scale_seconds(run_svm_metered(d, s, h), pt.target_p);
       const double speedup = ref_seconds / seconds;
       std::printf("SA-SVM-L1 s=%-4zu %14.4fs  (%.2fx)\n", s, seconds,
                   speedup);
@@ -764,10 +772,10 @@ void run_ablation(const Config& /*cfg*/, JsonSink& json) {
   std::printf("%-16s %10s %10s\n", "machine", "alpha", "best s");
   std::vector<std::string> machines;
   for (const auto& machine :
-       {sa::dist::MachineParams::shared_memory(),
-        sa::dist::MachineParams::cray_xc30(),
-        sa::dist::MachineParams::ethernet_cluster()}) {
-    const std::size_t best = sa::perf::best_s_bcd(p, candidates, machine);
+       {sa::perf::MachineParams::shared_memory(),
+        sa::perf::MachineParams::cray_xc30(),
+        sa::perf::MachineParams::ethernet_cluster()}) {
+    const std::size_t best = sa::perf::best_s(p, candidates, machine);
     std::printf("%-16s %10.2e %10zu\n", machine.name.c_str(), machine.alpha,
                 best);
     machines.push_back("{\"machine\":" + jstr(machine.name) +
@@ -788,8 +796,8 @@ void run_ablation(const Config& /*cfg*/, JsonSink& json) {
   for (std::size_t mu : {1, 2, 4, 8, 16}) {
     p.block_size = mu;
     std::printf("%8zu", mu);
-    for (const auto& b : sa::perf::bcd_speedup_sweep(
-             p, s_values, sa::dist::MachineParams::cray_xc30())) {
+    for (const auto& b : sa::perf::speedup_sweep(
+             p, s_values, sa::perf::MachineParams::cray_xc30())) {
       std::printf(" %8.2fx", b.total);
       pairs.push_back("{\"mu\":" + jnum(static_cast<double>(mu)) +
                       ",\"s\":" + jnum(static_cast<double>(b.s)) +

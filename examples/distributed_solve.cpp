@@ -13,9 +13,9 @@
 
 #include "core/registry.hpp"
 #include "data/synthetic.hpp"
-#include "dist/cost_model.hpp"
 #include "dist/thread_comm.hpp"
 #include "la/vector_ops.hpp"
+#include "perf/model.hpp"
 
 int main() {
   sa::data::RegressionConfig config;
@@ -76,13 +76,14 @@ int main() {
         stats = result.stats;
       }
     });
+    const sa::perf::Costs metered = sa::perf::costs(stats);
     std::printf("%8zu %12zu %12zu %14.6f %14.6f %14.6f\n", s, stats.messages,
                 stats.words,
-                price(stats, sa::dist::MachineParams::shared_memory())
+                price(metered, sa::perf::MachineParams::shared_memory())
                     .total_seconds(),
-                price(stats, sa::dist::MachineParams::cray_xc30())
+                price(metered, sa::perf::MachineParams::cray_xc30())
                     .total_seconds(),
-                price(stats, sa::dist::MachineParams::ethernet_cluster())
+                price(metered, sa::perf::MachineParams::ethernet_cluster())
                     .total_seconds());
   }
   std::printf("\n(read across a row: the same run is a wash on shared "

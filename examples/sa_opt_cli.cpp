@@ -233,7 +233,7 @@ Args parse(int argc, char** argv) {
 void maybe_write_csv(const Args& args, const sa::core::Trace& trace) {
   if (args.trace_csv.empty()) return;
   sa::core::write_trace_csv_file(args.trace_csv, trace,
-                                 sa::dist::MachineParams::cray_xc30());
+                                 sa::perf::MachineParams::cray_xc30());
   std::printf("trace written to %s\n", args.trace_csv.c_str());
 }
 

@@ -18,13 +18,15 @@ void write_trace_csv(std::ostream& out, const Trace& trace) {
 }
 
 void write_trace_csv(std::ostream& out, const Trace& trace,
-                     const dist::MachineParams& machine) {
+                     const perf::MachineParams& machine) {
   out << "iteration,objective,flops,words,messages,wall_seconds,"
          "modelled_seconds\n";
   for (const TracePoint& p : trace.points) {
     out << p.iteration << ',' << p.objective << ',' << p.stats.flops << ','
         << p.stats.words << ',' << p.stats.messages << ',' << p.wall_seconds
-        << ',' << dist::price(p.stats, machine).total_seconds() << '\n';
+        << ','
+        << perf::price(perf::costs(p.stats), machine).total_seconds()
+        << '\n';
   }
 }
 
@@ -35,7 +37,7 @@ void write_trace_csv_file(const std::string& path, const Trace& trace) {
 }
 
 void write_trace_csv_file(const std::string& path, const Trace& trace,
-                          const dist::MachineParams& machine) {
+                          const perf::MachineParams& machine) {
   std::ofstream out(path);
   SA_CHECK(out.good(), "write_trace_csv_file: cannot open " + path);
   write_trace_csv(out, trace, machine);

@@ -10,7 +10,7 @@
 #include <string>
 
 #include "core/trace.hpp"
-#include "dist/cost_model.hpp"
+#include "perf/model.hpp"
 
 namespace sa::core {
 
@@ -19,12 +19,12 @@ void write_trace_csv(std::ostream& out, const Trace& trace);
 
 /// As above plus a "modelled_seconds" column priced on `machine`.
 void write_trace_csv(std::ostream& out, const Trace& trace,
-                     const dist::MachineParams& machine);
+                     const perf::MachineParams& machine);
 
 /// Convenience file variants; throw sa::PreconditionError on I/O failure.
 void write_trace_csv_file(const std::string& path, const Trace& trace);
 void write_trace_csv_file(const std::string& path, const Trace& trace,
-                          const dist::MachineParams& machine);
+                          const perf::MachineParams& machine);
 
 /// One-line human-readable summary: iterations, final objective, counters.
 std::string summarize_trace(const Trace& trace);

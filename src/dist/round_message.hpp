@@ -149,11 +149,12 @@ class RoundMessage {
   /// Writes the kChecksum trailer word (when reserved): the low 32 bits
   /// of this rank's FNV-1a body digest as an exactly-representable
   /// double.  The summed word is the in-band checksum channel a real
-  /// transport would carry — it rides the collective and is priced like
-  /// any trailer word (perf::costs.flag_words) — while verification uses
-  /// the communicator's out-of-band delivery digest (hashes do not
-  /// commute with summation).  Call after the body and other trailer
-  /// fields are final, before reduce_start.  No-op without the section.
+  /// transport would carry — it rides the collective and is metered in
+  /// the kChecksum section's words like any trailer word — while
+  /// verification uses the communicator's out-of-band delivery digest
+  /// (hashes do not commute with summation).  Call after the body and
+  /// other trailer fields are final, before reduce_start.  No-op without
+  /// the section.
   void seal();
 
   /// Starts the round's ONE collective (nonblocking) over the wire prefix

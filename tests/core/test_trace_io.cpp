@@ -50,7 +50,7 @@ TEST(TraceCsv, EmptyTraceIsHeaderOnly) {
 
 TEST(TraceCsv, MachineVariantAddsModelledColumn) {
   std::ostringstream out;
-  dist::MachineParams machine{"m", 1.0, 1.0, 1.0};
+  perf::MachineParams machine{"m", 1.0, 1.0, 1.0};
   write_trace_csv(out, make_trace(), machine);
   const std::string text = out.str();
   EXPECT_NE(text.find("modelled_seconds"), std::string::npos);

@@ -11,7 +11,6 @@
 
 #include "common/check.hpp"
 #include "data/rng.hpp"
-#include "dist/cost_model.hpp"
 #include "dist/round_message.hpp"
 #include "dist/thread_comm.hpp"
 #include "la/workspace.hpp"
@@ -475,46 +474,6 @@ TEST(RoundMessage, ReducesAllSectionsInOneCollectiveWithSectionStats) {
     EXPECT_EQ(s.section(RoundSection::kStopFlags).words, rounds);
     EXPECT_EQ(s.section(RoundSection::kStopFlags).bytes(), 8 * rounds);
   }
-}
-
-TEST(CostModel, PricesCountersLinearly) {
-  CommStats s;
-  s.flops = 50;
-  s.replicated_flops = 50;  // replicated work sits on the critical path too
-  s.words = 1000;
-  s.messages = 10;
-  const MachineParams m{"unit", 1.0, 2.0, 3.0};
-  const CostBreakdown b = price(s, m);
-  EXPECT_DOUBLE_EQ(b.compute_seconds, 300.0);
-  EXPECT_DOUBLE_EQ(b.bandwidth_seconds, 2000.0);
-  EXPECT_DOUBLE_EQ(b.latency_seconds, 10.0);
-  EXPECT_DOUBLE_EQ(b.communication_seconds(), 2010.0);
-  EXPECT_DOUBLE_EQ(b.total_seconds(), 2310.0);
-}
-
-TEST(CostModel, PricesRoundSectionsFromTheirWordCounters) {
-  CommStats s;
-  s.words = 100;
-  s.sections[static_cast<std::size_t>(RoundSection::kGram)].words = 90;
-  s.sections[static_cast<std::size_t>(RoundSection::kStopFlags)].words = 10;
-  const MachineParams m{"unit", 1.0, 2.0, 3.0};
-  const CostBreakdown b = price(s, m);
-  EXPECT_DOUBLE_EQ(b.section_seconds(RoundSection::kGram), 180.0);
-  EXPECT_DOUBLE_EQ(b.section_seconds(RoundSection::kStopFlags), 20.0);
-  EXPECT_DOUBLE_EQ(b.section_seconds(RoundSection::kDots1), 0.0);
-  // Sections split only the β term; α is paid once by the single message.
-  EXPECT_DOUBLE_EQ(b.section_seconds(RoundSection::kGram) +
-                       b.section_seconds(RoundSection::kStopFlags),
-                   b.bandwidth_seconds);
-}
-
-TEST(CostModel, PresetLatencyLadder) {
-  // The three presets must order by latency: shared memory < HPC < cloud.
-  const double sm = MachineParams::shared_memory().alpha;
-  const double cray = MachineParams::cray_xc30().alpha;
-  const double eth = MachineParams::ethernet_cluster().alpha;
-  EXPECT_LT(sm, cray);
-  EXPECT_LT(cray, eth);
 }
 
 }  // namespace

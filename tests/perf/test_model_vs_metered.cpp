@@ -1,4 +1,4 @@
-// Model-vs-metered consistency: the Table I formulas (perf/costs.hpp) must
+// Model-vs-metered consistency: the Table I formulas (perf/model.hpp) must
 // agree with the counters a real solver execution records through the
 // communicator — the two views of cost the repo uses must not drift apart.
 #include <mutex>
@@ -9,7 +9,7 @@
 #include "core/registry.hpp"
 #include "data/synthetic.hpp"
 #include "dist/thread_comm.hpp"
-#include "perf/costs.hpp"
+#include "perf/model.hpp"
 
 namespace sa::perf {
 namespace {
@@ -81,7 +81,7 @@ TEST(ModelVsMetered, LatencyCountsMatchExactly) {
   for (std::size_t s : {std::size_t{0}, std::size_t{8}}) {
     const dist::CommStats metered = metered_lasso(d, 2, s, h, ranks);
     const BcdParams p = params_for(d, 2, s, h, ranks);
-    const Costs model = s == 0 ? accbcd_costs(p) : sa_accbcd_costs(p);
+    const Costs model = costs(p);
     EXPECT_DOUBLE_EQ(model.latency,
                      static_cast<double>(metered.messages))
         << "s=" << s;
@@ -99,7 +99,7 @@ TEST(ModelVsMetered, BandwidthWithinSmallConstantFactor) {
     for (std::size_t mu : {std::size_t{2}, std::size_t{8}}) {
       const dist::CommStats metered = metered_lasso(d, mu, s, h, ranks);
       const BcdParams p = params_for(d, mu, s, h, ranks);
-      const Costs model = s == 0 ? accbcd_costs(p) : sa_accbcd_costs(p);
+      const Costs model = costs(p);
       const double ratio =
           static_cast<double>(metered.words) / model.bandwidth;
       EXPECT_GT(ratio, 0.4) << "mu=" << mu << " s=" << s;
@@ -118,7 +118,7 @@ TEST(ModelVsMetered, GramFlopsWithinSmallConstantFactor) {
   const std::size_t mu = 8;
   const dist::CommStats metered = metered_lasso(d, mu, 0, h, ranks);
   const BcdParams p = params_for(d, mu, 0, h, ranks);
-  const Costs model = accbcd_costs(p);
+  const Costs model = costs(p);
   const double ratio = static_cast<double>(metered.flops) / model.flops;
   EXPECT_GT(ratio, 0.5);
   EXPECT_LT(ratio, 8.0);
@@ -164,7 +164,7 @@ TEST(ModelVsMetered, SvmLatencyCountsMatchExactly) {
     p.processors = ranks;
     p.wire_slots = common::wire_slot_count(
         common::ReduceGrouping::make(d.num_features()), cols.offsets());
-    const Costs model = s == 0 ? svm_costs(p) : sa_svm_costs(p);
+    const Costs model = costs(p);
     // +1 collective: the final primal-vector assembly (log2(4) = 2 rounds).
     EXPECT_DOUBLE_EQ(model.latency + 2.0,
                      static_cast<double>(metered.messages))

@@ -1,6 +1,6 @@
 // Tests for the analytic strong-scaling / speedup model — the engine
 // behind the Figure 3–4 and Table V reproductions.
-#include "perf/scaling.hpp"
+#include "perf/model.hpp"
 
 #include <gtest/gtest.h>
 
@@ -24,9 +24,9 @@ BcdParams latency_bound_problem() {
 
 TEST(SpeedupSweep, RisesThenFallsWithS) {
   const auto sweep =
-      bcd_speedup_sweep(latency_bound_problem(),
-                        {2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096},
-                        dist::MachineParams::cray_xc30());
+      speedup_sweep(latency_bound_problem(),
+                    {2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096},
+                    MachineParams::cray_xc30());
   ASSERT_EQ(sweep.size(), 11u);
   // Some prefix must speed up (latency win)…
   EXPECT_GT(sweep[2].total, 1.0);
@@ -40,8 +40,8 @@ TEST(SpeedupSweep, RisesThenFallsWithS) {
 TEST(SpeedupSweep, CommunicationSpeedupExceedsTotal) {
   // Communication-only speedup is the pure latency win; total is diluted
   // by the flop increase — the ordering visible in Figure 4 (e–h).
-  const auto sweep = bcd_speedup_sweep(latency_bound_problem(), {8, 32},
-                                       dist::MachineParams::cray_xc30());
+  const auto sweep = speedup_sweep(latency_bound_problem(), {8, 32},
+                                   MachineParams::cray_xc30());
   for (const SpeedupBreakdown& b : sweep) {
     EXPECT_GE(b.communication, b.total * 0.99);
   }
@@ -50,33 +50,31 @@ TEST(SpeedupSweep, CommunicationSpeedupExceedsTotal) {
 TEST(SpeedupSweep, ComputationRatioBelowOne) {
   // SA does strictly more flops (s× Gram work), so the computation
   // "speedup" is ≤ 1 in the analytic model.
-  const auto sweep = bcd_speedup_sweep(latency_bound_problem(), {16},
-                                       dist::MachineParams::cray_xc30());
+  const auto sweep = speedup_sweep(latency_bound_problem(), {16},
+                                   MachineParams::cray_xc30());
   EXPECT_LE(sweep[0].computation, 1.0 + 1e-12);
 }
 
 TEST(SpeedupSweep, HighLatencyMachineBenefitsMore) {
   const BcdParams p = latency_bound_problem();
-  const auto cray = bcd_speedup_sweep(p, {64},
-                                      dist::MachineParams::cray_xc30());
-  const auto eth = bcd_speedup_sweep(p, {64},
-                                     dist::MachineParams::ethernet_cluster());
+  const auto cray = speedup_sweep(p, {64}, MachineParams::cray_xc30());
+  const auto eth = speedup_sweep(p, {64}, MachineParams::ethernet_cluster());
   // The paper's concluding remark: higher-latency frameworks (Spark-like)
   // gain more from synchronization avoidance.
   EXPECT_GT(eth[0].total, cray[0].total);
 }
 
 TEST(SpeedupSweep, SharedMemoryMachineBarelyBenefits) {
-  const auto sm = bcd_speedup_sweep(latency_bound_problem(), {64},
-                                    dist::MachineParams::shared_memory());
+  const auto sm = speedup_sweep(latency_bound_problem(), {64},
+                                MachineParams::shared_memory());
   EXPECT_LT(sm[0].total, 3.0);
 }
 
 TEST(BestS, PicksInteriorOptimum) {
   const std::vector<std::size_t> candidates{1, 2, 4, 8,   16,  32,
                                             64, 128, 256, 512, 1024};
-  const std::size_t best = best_s_bcd(latency_bound_problem(), candidates,
-                                      dist::MachineParams::cray_xc30());
+  const std::size_t best = best_s(latency_bound_problem(), candidates,
+                                  MachineParams::cray_xc30());
   EXPECT_GT(best, 1u);
   EXPECT_LT(best, 1024u);
 }
@@ -84,15 +82,14 @@ TEST(BestS, PicksInteriorOptimum) {
 TEST(BestS, SingleProcessorPrefersNoUnrolling) {
   BcdParams p = latency_bound_problem();
   p.processors = 1;
-  const std::size_t best =
-      best_s_bcd(p, {1, 2, 4, 8}, dist::MachineParams::cray_xc30());
+  const std::size_t best = best_s(p, {1, 2, 4, 8}, MachineParams::cray_xc30());
   EXPECT_EQ(best, 1u);  // no communication to avoid, only extra flops
 }
 
 TEST(StrongScaling, SaFasterEverywhereAndGapGrowsWithP) {
   const auto series = bcd_strong_scaling(
       latency_bound_problem(), {192, 768, 3072, 12288},
-      {1, 2, 4, 8, 16, 32, 64, 128, 256}, dist::MachineParams::cray_xc30());
+      {1, 2, 4, 8, 16, 32, 64, 128, 256}, MachineParams::cray_xc30());
   ASSERT_EQ(series.size(), 4u);
   double prev_gap = 0.0;
   for (const ScalingPoint& pt : series) {
@@ -117,7 +114,7 @@ TEST(StrongScaling, NonSaTimeDecreasesWithPUntilLatencyFloor) {
   p.cols = 1 << 15;
   const auto series =
       bcd_strong_scaling(p, {4, 16, 64, 16384}, {1, 2, 4, 8, 16, 32},
-                         dist::MachineParams::cray_xc30());
+                         MachineParams::cray_xc30());
   EXPECT_LT(series[1].seconds_non_sa, series[0].seconds_non_sa);
   EXPECT_LT(series[2].seconds_non_sa, series[1].seconds_non_sa);
   // At extreme P latency has flattened the curve: no 4× win from 64→16384.
@@ -132,29 +129,16 @@ TEST(SvmSweep, SpeedupInPaperRangeAtPaperScale) {
   p.rows = 6000;
   p.cols = 5000;
   p.processors = 3072;
-  const auto sweep = svm_speedup_sweep(p, {16, 64, 128, 256},
-                                       dist::MachineParams::cray_xc30());
+  const auto sweep =
+      speedup_sweep(p, {16, 64, 128, 256}, MachineParams::cray_xc30());
   double best = 0.0;
   for (const SpeedupBreakdown& b : sweep) best = std::max(best, b.total);
   EXPECT_GT(best, 1.4);   // at least the worst Table V entry
   EXPECT_LT(best, 40.0);  // sanity upper bound
 }
 
-TEST(PriceCosts, MapsTermsToSeconds) {
-  Costs c;
-  c.flops = 1e9;
-  c.latency = 1e4;
-  c.bandwidth = 1e6;
-  const dist::MachineParams m{"t", 1e-6, 1e-9, 1e-10};
-  const dist::CostBreakdown b = price_costs(c, m);
-  EXPECT_DOUBLE_EQ(b.compute_seconds, 0.1);
-  EXPECT_DOUBLE_EQ(b.latency_seconds, 0.01);
-  EXPECT_DOUBLE_EQ(b.bandwidth_seconds, 0.001);
-}
-
 TEST(BestS, RejectsEmptyCandidates) {
-  EXPECT_THROW(best_s_bcd(latency_bound_problem(), {},
-                          dist::MachineParams::cray_xc30()),
+  EXPECT_THROW(best_s(latency_bound_problem(), {}, MachineParams::cray_xc30()),
                sa::PreconditionError);
 }
 
