@@ -4,7 +4,8 @@
 //   * the BLAS-3 effect: one s-column Gram (matrix-matrix) is more
 //     cache-efficient than s separate dot products (BLAS-1) — the source
 //     of the paper's "computation speedups" in Figure 4 (e–h);
-//   * collective cost growth with rank count and payload.
+//   * collective cost growth with rank count and payload;
+// plus the replicated µ×µ block eigensolve Table I prices at O(µ³).
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -24,6 +25,7 @@
 #include "la/batch_view.hpp"
 #include "la/csr.hpp"
 #include "la/dense.hpp"
+#include "la/eigen.hpp"
 #include "la/simd/simd.hpp"
 #include "la/vector_ops.hpp"
 #include "la/workspace.hpp"
@@ -298,6 +300,44 @@ SA_KERNEL_ISA_BENCH(BM_KernelGramDots_sse2_dense, kSse2, 0.5);
 SA_KERNEL_ISA_BENCH(BM_KernelGramDots_avx2_dense, kAvx2, 0.5);
 
 #undef SA_KERNEL_ISA_BENCH
+
+/// Block Lipschitz constant: largest_eigenvalue_psd on µ×µ block Grams
+/// A_Jᵀ·A_J of µ sampled columns of the lasso-sparse-p2 data (40000×2000,
+/// density 0.005, seed 1).  200 blocks are built once, outside the timed
+/// loop, and solved in turn through one pre-sized scratch.
+void BM_BlockEigen(benchmark::State& state) {
+  const std::size_t mu = state.range(0);
+  static const sa::data::Dataset d = [] {
+    sa::data::RegressionConfig cfg;
+    cfg.num_points = 40000;
+    cfg.num_features = 2000;
+    cfg.density = 0.005;
+    cfg.seed = 1;
+    return sa::data::make_regression(cfg).dataset;
+  }();
+  const sa::core::RowBlock block(
+      d, sa::data::Partition::block(d.num_points(), 1), 0);
+  sa::data::CoordinateSampler sampler(d.num_features(), mu, 1);
+  sa::la::Workspace ws;
+  std::vector<double> packed(sa::la::fused_buffer_size(mu, 0));
+  std::vector<sa::la::DenseMatrix> grams(200, sa::la::DenseMatrix(mu, mu));
+  for (sa::la::DenseMatrix& g : grams) {
+    const std::vector<std::size_t> cols = sampler.next();
+    sa::la::sampled_gram_and_dots(block.view_columns(cols, ws), {}, packed);
+    for (std::size_t i = 0; i < mu; ++i)
+      for (std::size_t j = i; j < mu; ++j)
+        g(i, j) = g(j, i) = packed[sa::la::packed_upper_index(i, j, mu)];
+  }
+  sa::la::EigenScratch scratch;
+  scratch.reserve(mu);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    double v = sa::la::largest_eigenvalue_psd(grams[next], scratch);
+    benchmark::DoNotOptimize(v);
+    next = next + 1 == grams.size() ? 0 : next + 1;
+  }
+}
+BENCHMARK(BM_BlockEigen)->Arg(8)->Arg(16)->Arg(32);
 
 /// Thread-team allreduce cost vs rank count and payload.
 void BM_Allreduce(benchmark::State& state) {

@@ -9,13 +9,17 @@
 
 #include "core/solver.hpp"
 #include "la/batch_view.hpp"
+#include "la/eigen.hpp"
 
 namespace sa::core::detail {
 
-/// Flop estimate for one largest-eigenvalue computation on a k×k Gram
-/// matrix (power iteration, ~16 sweeps of 2k² flops — deterministic
-/// metering constant, not a measurement).
-inline std::size_t eig_flops(std::size_t k) { return 32 * k * k; }
+/// Flop count of one la::largest_eigenvalue_psd call on a k×k Gram
+/// matrix: ~4k³/3 for the Householder tridiagonalization plus at most
+/// la::kEigenBisectionSteps Sturm counts of 3k flops each (a fixed bound,
+/// so the metered count is deterministic).
+inline std::size_t eig_flops(std::size_t k) {
+  return 4 * k * k * k / 3 + la::kEigenBisectionSteps * 3 * k;
+}
 
 /// Serialized size of the upper triangle of a k×k symmetric matrix.
 inline std::size_t triangle_size(std::size_t k) { return k * (k + 1) / 2; }

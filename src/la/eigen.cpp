@@ -2,27 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 
+#include "common/annotate.hpp"
 #include "common/check.hpp"
 #include "la/vector_ops.hpp"
 
 namespace sa::la {
 
 namespace {
-
-/// Deterministic quasi-random start vector: varies per index so it is not
-/// orthogonal to the leading eigenvector for any matrix we encounter.
-void fill_start_vector(std::span<double> v) {
-  for (std::size_t i = 0; i < v.size(); ++i)
-    v[i] = 1.0 + 0.37 * std::sin(static_cast<double>(i + 1));
-  const double norm = nrm2(v);
-  scale(1.0 / norm, v);
-}
-
-/// Defaults of jacobi_eigenvalues, shared with the scratch-based fallback
-/// so both entry points perform identical rotations.
-constexpr double kJacobiTolerance = 1e-14;
-constexpr std::size_t kJacobiMaxSweeps = 64;
 
 /// In-place cyclic Jacobi sweeps; on return the diagonal of `a` holds the
 /// eigenvalues (unsorted).
@@ -66,54 +55,129 @@ void jacobi_sweeps(DenseMatrix& a, double tolerance,
   }
 }
 
+/// Reduces the symmetric matrix in `t` to tridiagonal form T with n−2
+/// Householder reflections (Golub & Van Loan, Algorithm 8.3.1), reading
+/// and writing only the upper triangle and not accumulating Q.  On return
+/// T sits in the lower band: t(i, i) = d_i and t(i + 1, i) = e_i², the
+/// squared off-diagonal (all the Sturm count needs).  `w` holds each
+/// reflection's update vector and must have n entries.
+void tridiagonalize(DenseMatrix& t, std::span<double> w) {
+  const std::size_t n = t.rows();
+  for (std::size_t k = 0; k + 1 < n; ++k) {
+    // x = t(k, k+1:n) is the part of row k to reflect onto ‖x‖·e_{k+1}.
+    const std::size_t r = k + 1;
+    const std::span<double> x = t.row(k);
+    double sigma = 0.0;
+    for (std::size_t j = r + 1; j < n; ++j) sigma += x[j] * x[j];
+    if (sigma == 0.0) {  // row already tridiagonal (always so for k = n−2)
+      t(r, k) = x[r] * x[r];
+      continue;
+    }
+    // P = I − β·v·vᵀ with v(k+1) = 1 (GVL Algorithm 5.1.1); v overwrites
+    // x, whose reflected image ‖x‖·e_{k+1} gives e_k.
+    const double x0 = x[r];
+    const double norm = std::sqrt(x0 * x0 + sigma);
+    const double v0 = x0 <= 0.0 ? x0 - norm : -sigma / (x0 + norm);
+    const double beta = 2.0 * v0 * v0 / (sigma + v0 * v0);
+    x[r] = 1.0;
+    for (std::size_t j = r + 1; j < n; ++j) x[j] /= v0;
+    t(r, k) = norm * norm;
+
+    // p = β·A₂₂·v from the trailing block's upper triangle ...
+    for (std::size_t i = r; i < n; ++i) w[i] = 0.0;
+    for (std::size_t i = r; i < n; ++i) {
+      const std::span<const double> row = t.row(i);
+      double acc = row[i] * x[i];
+      for (std::size_t j = i + 1; j < n; ++j) {
+        acc += row[j] * x[j];
+        w[j] += row[j] * x[i];
+      }
+      w[i] += acc;
+    }
+    double pv = 0.0;
+    for (std::size_t i = r; i < n; ++i) {
+      w[i] *= beta;
+      pv += w[i] * x[i];
+    }
+    // ... w = p − (β·pᵀv/2)·v, and A₂₂ := P·A₂₂·P = A₂₂ − v·wᵀ − w·vᵀ.
+    const double c = 0.5 * beta * pv;
+    for (std::size_t i = r; i < n; ++i) w[i] -= c * x[i];
+    for (std::size_t i = r; i < n; ++i) {
+      const std::span<double> row = t.row(i);
+      for (std::size_t j = i; j < n; ++j)
+        row[j] -= x[i] * w[j] + w[i] * x[j];
+    }
+  }
+}
+
+/// Number of eigenvalues of T (lower band of `t`, see tridiagonalize)
+/// below x: the negative pivots of the LDLᵀ factorization of T − x·I
+/// (Sturm count, GVL §8.4.1).  A pivot smaller than `pivmin` in magnitude
+/// is replaced by −pivmin, as in LAPACK's dstebz, so the recurrence never
+/// divides by zero and e_i²/q cannot overflow.
+std::size_t count_below(const DenseMatrix& t, double x, double pivmin) {
+  const std::size_t n = t.rows();
+  double q = t(0, 0) - x;
+  if (std::abs(q) < pivmin) q = -pivmin;
+  std::size_t count = q < 0.0 ? 1 : 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    const std::span<const double> row = t.row(i);
+    q = (row[i] - x) - row[i - 1] / q;
+    if (std::abs(q) < pivmin) q = -pivmin;
+    count += q < 0.0 ? 1 : 0;
+  }
+  return count;
+}
+
 }  // namespace
 
-// sa-lint: allow(alloc): scratch assign()s keep capacity after first call
-double largest_eigenvalue_psd(const DenseMatrix& a, EigenScratch& scratch,
-                              const PowerIterationOptions& options) {
+double largest_eigenvalue_psd(const DenseMatrix& a, EigenScratch& scratch) {
+  SA_STEADY_STATE;
   SA_CHECK(a.rows() == a.cols(), "largest_eigenvalue_psd: matrix not square");
   const std::size_t n = a.rows();
   if (n == 0) return 0.0;
-  if (n == 1) return a(0, 0);
 
-  // assign() keeps capacity: after the first (largest) call the scratch
-  // vectors never reallocate.
-  scratch.v.assign(n, 0.0);
-  scratch.w.assign(n, 0.0);
-  scratch.aw.assign(n, 0.0);
-  std::vector<double>& v = scratch.v;
-  std::vector<double>& w = scratch.w;
-  fill_start_vector(v);
-  double lambda = 0.0;
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    gemv(1.0, a, v, 0.0, w);
-    const double norm = nrm2(w);
-    if (norm == 0.0) return 0.0;  // a == 0 (or v in null space of PSD a)
-    scale(1.0 / norm, w);
-    gemv(1.0, a, w, 0.0, scratch.aw);
-    const double next = dot(w, scratch.aw);
-    std::swap(v, w);
-    if (std::abs(next - lambda) <=
-        options.tolerance * std::max(1.0, std::abs(next))) {
-      return next;
-    }
-    lambda = next;
+  // Both buffers keep their capacity: once sized for n, no call of that
+  // size or smaller reallocates.
+  DenseMatrix& t = scratch.work;
+  t.reshape(n, n);
+  copy(a.data(), t.data());
+  // sa-lint: allow(alloc): grow-only, reserve(n) or the first solve sizes it
+  scratch.update.resize(n);
+  tridiagonalize(t, scratch.update);
+
+  // Bracket λ_max(T): it is at least every diagonal entry (a Rayleigh
+  // quotient) and at most the largest Gershgorin row bound d_i + |e_{i−1}|
+  // + |e_i|.  The bracket is at most 2·max|e_i| ≤ 2·λ_max wide for a PSD
+  // T, so bisection reaches adjacent doubles within kEigenBisectionSteps
+  // halvings.
+  double lo = t(0, 0);
+  double hi = t(0, 0);
+  double max_e2 = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double e_left = i > 0 ? t(i, i - 1) : 0.0;
+    const double e_right = i + 1 < n ? t(i + 1, i) : 0.0;
+    lo = std::max(lo, t(i, i));
+    hi = std::max(hi, t(i, i) + std::sqrt(e_left) + std::sqrt(e_right));
+    max_e2 = std::max(max_e2, e_right);
   }
-  // Slow convergence (clustered leading eigenvalues): fall back to Jacobi,
-  // rotating inside the scratch matrix (allocation-free in steady state).
-  scratch.jacobi_a.reshape(n, n);
-  copy(a.data(), scratch.jacobi_a.data());
-  jacobi_sweeps(scratch.jacobi_a, kJacobiTolerance, kJacobiMaxSweeps);
-  double largest = scratch.jacobi_a(0, 0);
-  for (std::size_t i = 1; i < n; ++i)
-    largest = std::max(largest, scratch.jacobi_a(i, i));
-  return largest;
+  const double pivmin =
+      std::numeric_limits<double>::min() * std::max(1.0, max_e2);
+  for (std::size_t step = 0; step < kEigenBisectionSteps; ++step) {
+    const double mid = 0.5 * (lo + hi);
+    if (mid <= lo || mid >= hi) break;  // lo and hi are adjacent doubles
+    if (count_below(t, mid, pivmin) < n) {
+      lo = mid;  // some eigenvalue is ≥ mid
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
 }
 
-double largest_eigenvalue_psd(const DenseMatrix& a,
-                              const PowerIterationOptions& options) {
+double largest_eigenvalue_psd(const DenseMatrix& a) {
   EigenScratch scratch;
-  return largest_eigenvalue_psd(a, scratch, options);
+  return largest_eigenvalue_psd(a, scratch);
 }
 
 std::vector<double> jacobi_eigenvalues(DenseMatrix a, double tolerance,

@@ -4,10 +4,12 @@
 // matrix every iteration (the optimal block Lipschitz constant, line 10 of
 // the paper's Algorithm 1).  µ is small (1–32 in the paper), so simple
 // dense methods are appropriate:
-//   * power iteration with a deterministic start for the largest
-//     eigenvalue (fast path used inside solvers), and
-//   * cyclic Jacobi for the full spectrum (used by tests, by λ-selection
-//     helpers, and as a fallback when power iteration stalls).
+//   * Householder tridiagonalization followed by Sturm-count bisection for
+//     the largest eigenvalue (used inside the solvers): a fixed amount of
+//     work, ~4µ³/3 flops plus a bounded number of O(µ) Sturm counts, with
+//     no iteration whose length depends on the spectrum, and
+//   * cyclic Jacobi for the full spectrum (used by λ-selection helpers and
+//     as the tests' reference).
 #pragma once
 
 #include <cstddef>
@@ -17,45 +19,40 @@
 
 namespace sa::la {
 
-/// Options for power iteration.
-struct PowerIterationOptions {
-  std::size_t max_iterations = 500;
-  double tolerance = 1e-12;  ///< Relative change in the Rayleigh quotient.
-};
-
-/// Returns the largest eigenvalue of a symmetric positive semi-definite
-/// matrix via power iteration with a deterministic starting vector.
-///
-/// Falls back to cyclic Jacobi if the iteration has not converged within
-/// max_iterations (e.g. when the two leading eigenvalues are nearly equal),
-/// so the result is always reliable.
-double largest_eigenvalue_psd(const DenseMatrix& a,
-                              const PowerIterationOptions& options = {});
+/// Upper bound on the bisection steps of largest_eigenvalue_psd.  The
+/// starting bracket is narrower than 2·λ_max for a PSD matrix, so 64
+/// halvings always reach adjacent doubles; the search stops earlier once
+/// the midpoint no longer splits the bracket.
+inline constexpr std::size_t kEigenBisectionSteps = 64;
 
 /// Grow-only work storage for the allocation-free eigensolver entry point
 /// below.  One instance per solver, reused across every µ×µ solve.
 struct EigenScratch {
-  std::vector<double> v;
-  std::vector<double> w;
-  std::vector<double> aw;
-  DenseMatrix jacobi_a;  ///< rotation workspace of the Jacobi fallback
+  DenseMatrix work;            ///< the matrix, reduced to tridiagonal T
+  std::vector<double> update;  ///< one reflection's rank-2 update vector
 
-  /// Pre-sizes every buffer for matrices up to n×n, so even a first
-  /// fallback in a late iteration allocates nothing.
+  /// Pre-sizes both buffers for matrices up to n×n, so no later solve of
+  /// that size or smaller allocates.
   void reserve(std::size_t n) {
-    v.reserve(n);
-    w.reserve(n);
-    aw.reserve(n);
-    jacobi_a.reshape(n, n);
+    work.reshape(n, n);
+    update.reserve(n);
   }
 };
 
-/// Identical arithmetic to largest_eigenvalue_psd(a, options) — same start
-/// vector, same iteration, same Jacobi fallback rotations — but all work
-/// storage comes from `scratch`, so steady-state calls perform no heap
-/// allocation.
-double largest_eigenvalue_psd(const DenseMatrix& a, EigenScratch& scratch,
-                              const PowerIterationOptions& options = {});
+/// Returns the largest eigenvalue of a symmetric positive semi-definite
+/// matrix, to within a small multiple of machine epsilon times λ_max.
+///
+/// The matrix is reduced to symmetric tridiagonal form T by n−2
+/// Householder reflections without accumulating Q (Golub & Van Loan,
+/// Matrix Computations, §8.3.1), and λ_max(T) is found by bisection on
+/// the Sturm count of T − x·I (§8.4.1), starting from T's Gershgorin
+/// bracket.  Every loop is a plain fixed-order scalar loop, so the result
+/// is bitwise reproducible for a given input.  All work storage comes from
+/// `scratch`: once it is sized, calls perform no heap allocation.
+double largest_eigenvalue_psd(const DenseMatrix& a, EigenScratch& scratch);
+
+/// Convenience overload with its own (allocated) scratch.
+double largest_eigenvalue_psd(const DenseMatrix& a);
 
 /// Returns all eigenvalues of a symmetric matrix in ascending order using
 /// the cyclic Jacobi method (no eigenvectors).

@@ -2,7 +2,9 @@
 // subgradient conditions of their convex problems.  These validate the
 // mathematics end to end — step sizes, gradients, prox operators, duality
 // constants — independently of any reference implementation.
+#include <algorithm>
 #include <cmath>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -162,6 +164,76 @@ TEST(Optimality, GroupLassoBlockStationarity) {
     }
   }
 }
+
+// ------------------------------------------ s-step solvers at a realistic size
+
+/// A sparse 2000×200 problem: large enough to spread its rows over four
+/// ranks and to sample 25 distinct 8-column blocks, small enough that a
+/// solve to optimality takes tens of ms.
+data::Dataset realistic_problem() {
+  data::RegressionConfig cfg;
+  cfg.num_points = 2000;
+  cfg.num_features = 200;
+  cfg.density = 0.02;
+  cfg.support_size = 10;
+  cfg.noise_sigma = 0.05;
+  cfg.seed = 21;
+  return data::make_regression(cfg).dataset;
+}
+
+/// (ranks, s) of one certified s-step solve.
+class SaOptimalityAtScale
+    : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {};
+
+TEST_P(SaOptimalityAtScale, SaLassoKktResidual) {
+  const auto [ranks, s] = GetParam();
+  const data::Dataset d = realistic_problem();
+  SolverSpec sa = SolverSpec::make("sa-lasso");
+  sa.lambda = 1.0;
+  sa.block_size = 8;
+  sa.s = s;
+  sa.max_iterations = 1500;
+  const SolveResult r = solve_on_ranks(d, sa, ranks);
+  // Plain BCD converges linearly once the support is found: the
+  // proximal-gradient residual is ≈2e-15 after 1500 iterations.
+  EXPECT_LT(prox_gradient_residual(d, r.x, sa.lambda), 1e-11);
+}
+
+TEST_P(SaOptimalityAtScale, SaGroupLassoBlockStationarity) {
+  const auto [ranks, s] = GetParam();
+  const data::Dataset d = realistic_problem();
+  SolverSpec sa = SolverSpec::make("sa-group-lasso");
+  sa.lambda = 2.0;
+  sa.groups = GroupStructure::uniform(d.num_features(), 8);
+  sa.s = s;
+  sa.max_iterations = 1500;
+  const SolveResult r = solve_on_ranks(d, sa, ranks);
+  const std::vector<double> g = ls_gradient(d, r.x);
+  double worst = 0.0;
+  for (std::size_t gi = 0; gi < sa.groups.num_groups(); ++gi) {
+    const std::size_t begin = sa.groups.offsets[gi];
+    const std::size_t size = sa.groups.offsets[gi + 1] - begin;
+    const std::span<const double> xg(r.x.data() + begin, size);
+    const std::span<const double> gg(g.data() + begin, size);
+    const double norm_x = la::nrm2(xg);
+    if (norm_x > 0.0) {
+      for (std::size_t a = 0; a < size; ++a)
+        worst = std::max(worst, std::abs(gg[a] + sa.lambda * xg[a] / norm_x));
+    } else {
+      worst = std::max(worst, la::nrm2(gg) - sa.lambda);
+    }
+  }
+  // Block stationarity: A_gᵀr + λ·x_g/‖x_g‖ = 0 on active groups and
+  // ‖A_gᵀr‖ ≤ λ on inactive ones.  sa-group-lasso converges more slowly
+  // on this problem (≈9e-11 here vs ≈2e-15 for sa-lasso after 1500
+  // iterations), so its bound is looser.
+  EXPECT_LT(worst, 1e-9);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RanksAndDepth, SaOptimalityAtScale,
+    ::testing::Combine(::testing::Values(1, 4),
+                       ::testing::Values(std::size_t{1}, std::size_t{16})));
 
 // ------------------------------------------------------------------ SVM
 

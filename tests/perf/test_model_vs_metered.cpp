@@ -124,6 +124,26 @@ TEST(ModelVsMetered, GramFlopsWithinSmallConstantFactor) {
   EXPECT_LT(ratio, 8.0);
 }
 
+TEST(ModelVsMetered, EigensolveFlopsWithinSmallConstantFactor) {
+  // Table I prices the replicated block eigensolves as H·µ³.  At s = 1
+  // sa-lasso's inner recurrence has no cross-block corrections, and on
+  // dense data no block is skipped as empty, so its metered replicated
+  // flops are exactly the H eigensolves' charge.  Zeroing the density
+  // leaves the model's F = H·µ³ alone.
+  const data::Dataset d = dense_problem();
+  const std::size_t h = 64;
+  const int ranks = 2;
+  for (std::size_t mu : {std::size_t{8}, std::size_t{16}}) {
+    const dist::CommStats metered = metered_lasso(d, mu, 1, h, ranks);
+    BcdParams p = params_for(d, mu, 1, h, ranks);
+    p.density = 0.0;
+    const double ratio =
+        static_cast<double>(metered.replicated_flops) / costs(p).flops;
+    EXPECT_GE(ratio, 1.0) << "mu=" << mu;
+    EXPECT_LE(ratio, 5.0) << "mu=" << mu;
+  }
+}
+
 TEST(ModelVsMetered, SvmLatencyCountsMatchExactly) {
   data::ClassificationConfig cfg;
   cfg.num_points = 64;
