@@ -184,6 +184,45 @@ void BM_SparseGramChunks(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseGramChunks)->Arg(1)->Arg(32);
 
+/// Chunk-major dense Gram at the lasso-dense-p1 shape: a 20000-row block,
+/// k = 128 members (s = 16 draws of µ = 8 columns), 64 chunks.  Drawn
+/// from n = 2000 columns the members are nearly all distinct; drawn from
+/// n = 100, as on the epsilon twin, about 74 of them are, and each
+/// repeat's Gram entries are copied instead of computed.  Only the drawn
+/// columns are materialised, one pool row per distinct column.
+void BM_DenseGramChunks(benchmark::State& state, std::size_t n) {
+  const std::size_t k = 128;
+  const std::size_t mu = 8;
+  const std::size_t dim = 20000;
+  const std::size_t nc = 64;
+  std::vector<std::size_t> cols(k);
+  sa::data::CoordinateSampler sampler(n, mu, 2);
+  for (std::size_t t = 0; t < k / mu; ++t)
+    sampler.next_into(std::span<std::size_t>(cols).subspan(t * mu, mu));
+  std::vector<std::size_t> pool_of(n, k);  // column → pool row (k: none)
+  std::vector<std::size_t> rows(k);
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    if (pool_of[cols[i]] == k) pool_of[cols[i]] = distinct++;
+    rows[i] = pool_of[cols[i]];
+  }
+  const sa::la::DenseMatrix pool = random_dense(distinct, dim, 3);
+  sa::la::Workspace ws;
+  const sa::la::BatchView view = sa::la::BatchView::of_rows(pool, rows, ws);
+  std::vector<std::size_t> bounds(nc + 1);
+  for (std::size_t c = 0; c <= nc; ++c) bounds[c] = c * dim / nc;
+  const std::size_t tri = k * (k + 1) / 2;
+  std::vector<double> out(nc * tri);
+  for (auto _ : state) {
+    sa::la::sampled_gram_chunks(view, bounds, tri, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["distinct"] = static_cast<double>(distinct);
+}
+BENCHMARK_CAPTURE(BM_DenseGramChunks, distinct, std::size_t{2000});
+BENCHMARK_CAPTURE(BM_DenseGramChunks, sampled, std::size_t{100});
+
 // ---------------------------------------------------------------------------
 // The per-outer-iteration Gram+dots stage of the s-step solvers at
 // solver-realistic shapes (s blocks of µ sampled columns, one residual dot

@@ -13,8 +13,10 @@
 //     in memory traffic over pairwise dots), and the shared dimension is
 //     sliced into 512-double depth chunks so the eight active row
 //     segments stay L1-resident.  Tiles are independent → OpenMP
-//     schedule(dynamic) above the work threshold; each output entry is
+//     schedule(guided) above the work threshold; each output entry is
 //     written by exactly one thread in a fixed order (deterministic).
+//     Members that share a row pointer are walked once (see "Dense
+//     aliasing" below).
 //   * Sparse Gram — accumulator kernel (SpGEMM row style).  Member i is
 //     scattered once into a dense per-thread accumulator; every partner
 //     dot v_i·v_j gathers through v_j's nonzeros only, and the fused dot
@@ -23,11 +25,14 @@
 //     (see "Structural overlap" below).
 //
 // Output is the *packed* row-major upper triangle (plus optional dot
-// sections), written straight into the caller's allreduce buffer.
+// sections), written straight into the caller's allreduce buffer.  The
+// chunk-major entry points hand whole chunks to threads.
 #include "la/batch_view.hpp"
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <utility>
 
 #include "common/annotate.hpp"
 #include "common/check.hpp"
@@ -210,72 +215,94 @@ void sparse_gram_row(std::span<const Segment> segs, const RowLinks& rl,
   for (std::size_t p = 0; p < si.n; ++p) acc[si.idx[p]] = 0.0;
 }
 
-/// Moves segs[i] — member i's nonzeros in the previous chunk — on to
-/// member i's nonzeros in [begin, end), the next chunk.  Nonzeros before
-/// `begin` are skipped, so a call that starts from empty segments at each
-/// member's first nonzero also seeks past any slice before the first
-/// chunk.  Over a whole pack call this is one linear walk per member.
-void advance_segments(const BatchView& y, std::size_t begin,
-                      std::size_t end, std::span<Segment> segs) {
+/// Moves segs[i] on to member i's nonzeros in [begin, end).  With `walk`
+/// set, segs holds the nonzeros of the chunk just before (or empty
+/// segments at each member's first nonzero) and each member walks on from
+/// there, skipping nonzeros before `begin`; otherwise each member seeks its
+/// first nonzero at or after `begin` by binary search.  So a thread that
+/// packs a contiguous run of chunks makes one linear walk per member, from
+/// wherever its run starts.
+void seek_segments(const BatchView& y, std::size_t begin, std::size_t end,
+                   bool walk, std::span<Segment> segs) {
   for (std::size_t i = 0; i < segs.size(); ++i) {
     const std::span<const std::size_t> idx = y.member_indices(i);
-    auto p = static_cast<std::size_t>(segs[i].idx + segs[i].n - idx.data());
-    while (p < idx.size() && idx[p] < begin) ++p;
+    std::size_t p = 0;
+    if (walk) {
+      p = static_cast<std::size_t>(segs[i].idx + segs[i].n - idx.data());
+      while (p < idx.size() && idx[p] < begin) ++p;
+    } else {
+      p = static_cast<std::size_t>(
+          std::lower_bound(idx.begin(), idx.end(), begin) - idx.begin());
+    }
     std::size_t e = p;
     while (e < idx.size() && idx[e] < end) ++e;
     segs[i] = {idx.data() + p, y.member_values(i).data() + p, e - p};
   }
 }
 
-/// Runs prepare(c), then body(c, t) for every t in [0, n), chunk by
-/// chunk in order c = 0 … nc−1.  prepare fills per-chunk scratch that all
-/// of that chunk's body calls read; body calls write disjoint outputs.
-/// With `parallel` set and more than one thread available, everything
-/// runs inside ONE OpenMP region — one thread prepares each chunk, the
-/// team shares its n work items, and barriers keep the chunks apart — and
-/// otherwise as plain loops, so the results are identical either way.
-template <typename Prepare, typename Body>
-void for_each_chunk(std::size_t nc, std::size_t n, bool parallel,
-                    Prepare&& prepare, Body&& body) {
+/// Runs body(scratch, c) for every chunk c < nc, where `scratch` is what
+/// setup() returns on the running thread.  With `parallel` set, more than
+/// one chunk and more than one thread available, ONE OpenMP region hands
+/// each thread a contiguous run of whole chunks (static schedule), with no
+/// barrier between chunks; every thread calls setup() first, whether or
+/// not it gets a chunk, so its grow-only scratch is sized by the first call
+/// and no later call allocates.  Otherwise a plain loop on the calling
+/// thread.  Each chunk's outputs are written by one thread in a fixed
+/// order, so the bits do not depend on the thread count.
+template <typename Setup, typename Body>
+void for_each_chunk(std::size_t nc, bool parallel, Setup&& setup,
+                    Body&& body) {
 #ifdef _OPENMP
-  if (parallel && omp_get_max_threads() > 1) {
+  if (parallel && nc > 1 && omp_get_max_threads() > 1) {
 #pragma omp parallel
-    for (std::size_t c = 0; c < nc; ++c) {
-#pragma omp single
-      prepare(c);
-#pragma omp for schedule(dynamic)
-      for (std::ptrdiff_t t = 0; t < static_cast<std::ptrdiff_t>(n); ++t)
-        body(c, static_cast<std::size_t>(t));
+    {
+      auto scratch = setup();
+#pragma omp for schedule(static)
+      for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(nc); ++c)
+        body(scratch, static_cast<std::size_t>(c));
     }
     return;
   }
 #endif
   (void)parallel;
-  for (std::size_t c = 0; c < nc; ++c) {
-    prepare(c);
-    for (std::size_t t = 0; t < n; ++t) body(c, t);
-  }
+  auto scratch = setup();
+  for (std::size_t c = 0; c < nc; ++c) body(scratch, c);
 }
 
-/// Per-chunk scratch of the chunk-major kernels: k segments (sparse) or k
-/// shifted row pointers (dense).  Grow-only thread-local storage, sized
-/// by the first (largest) round; the calling thread's copy is shared with
-/// the team through the spans handed out.
+/// Grow-only thread-local scratch of n entries of T, one vector per T and
+/// thread.  Sized by the first (largest) round.
 template <typename T>
-std::span<T> chunk_scratch(std::size_t k) {
+std::span<T> chunk_scratch(std::size_t n) {
   thread_local std::vector<T> scratch;
   // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
-  if (scratch.size() < k) scratch.resize(k);
-  return std::span<T>(scratch.data(), k);
+  if (scratch.size() < n) scratch.resize(n);
+  return std::span<T>(scratch.data(), n);
 }
 
-/// Empty segments at each sparse member's first nonzero, for
-/// advance_segments to walk from.
-std::span<Segment> start_segments(const BatchView& y) {
-  const std::span<Segment> segs = chunk_scratch<Segment>(y.size());
-  for (std::size_t i = 0; i < segs.size(); ++i)
-    segs[i] = {y.member_indices(i).data(), y.member_values(i).data(), 0};
-  return segs;
+/// A thread's sparse chunk scratch: the members' segments in its current
+/// chunk, its row lists, its accumulator, and the chunk after the last one
+/// it packed (the one its segments can walk on to).
+struct SparseChunkScratch {
+  std::span<Segment> segs;
+  RowLinks rl;
+  std::vector<double>* acc = nullptr;
+  std::size_t next = 0;
+};
+
+/// The running thread's sparse chunk scratch for y, sized for it, with
+/// empty segments at each member's first nonzero (chunk 0 walks from
+/// there).  `links` asks for the Gram's row lists and partner scratch.
+SparseChunkScratch sparse_chunk_scratch(const BatchView& y, bool links) {
+  SparseChunkScratch s;
+  s.segs = chunk_scratch<Segment>(y.size());
+  for (std::size_t i = 0; i < s.segs.size(); ++i)
+    s.segs[i] = {y.member_indices(i).data(), y.member_values(i).data(), 0};
+  if (links) {
+    s.rl = row_links(y);
+    s.acc = &sparse_gram_workspace(y.dim());
+    partner_workspace(y.size());
+  }
+  return s;
 }
 
 /// Tile pair t of the packed upper triangle `g` (zeroed by the caller),
@@ -297,6 +324,158 @@ void dense_tile(const double* const* rows, std::size_t d, std::size_t k,
   const std::size_t jb = tj * kGramTile;
   kt.gram_tile(rows, d, k, g, ib, std::min(ib + kGramTile, k), jb,
                std::min(jb + kGramTile, k));
+}
+
+/// Packed upper triangle of the n members rows[·][0, d) into g: zeroes it,
+/// then runs every tile pair (iterated by flat index, no materialised pair
+/// list; tiles are independent, so the visiting order changes no bits).
+void dense_triangle(const double* const* rows, std::size_t n, std::size_t d,
+                    double* g, bool parallel, const simd::KernelTable& kt) {
+  std::fill_n(g, n * (n + 1) / 2, 0.0);
+  const std::size_t tiles = (n + kGramTile - 1) / kGramTile;
+  parallel_for(tiles * (tiles + 1) / 2, parallel, [&](std::size_t t) {
+    dense_tile(rows, d, n, tiles, t, g, kt);
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Dense aliasing.  A round's s·µ members are s independent draws of µ
+// columns, so once s·µ nears n many of them repeat.  Two dense members
+// alias when they share a row pointer: RowBlock::view_columns and
+// ColBlock::view_rows hand out one pointer per column (row), so aliasing
+// follows from the index drawn and is the same on every rank.  The dense
+// kernels compute each distinct member's entries once and copy them to its
+// repeats, bit for bit:
+//
+//   * dots — kt.dot reads only its member's row, whichever member asks;
+//   * Gram — with k a multiple of 4 every entry comes out of the 4×4
+//     micro-kernel, which gives each entry its own accumulation chain, and
+//     x·y = y·x (fused or not), so an entry's bits do not depend on where
+//     its members sit in the tile.  The distinct members are padded to a
+//     multiple of 4 with a repeated pointer, so each entry they need comes
+//     out of the micro-kernel too.  Other k keep the full walk: their
+//     ragged entries come from the edge dot's order.
+// ---------------------------------------------------------------------------
+
+struct DenseAliases {
+  std::span<const std::uint32_t> slot;     // member → distinct slot
+  std::span<const std::uint32_t> first;    // slot → its first member
+  std::span<const double* const> distinct;  // slot → row pointer
+  std::size_t count = 0;   // distinct members; 0: no member repeats
+  std::size_t padded = 0;  // slots the Gram walks; 0: walk all k members
+};
+
+/// The alias map of dense view y, in O(k log k): members sorted by row
+/// pointer, one slot per run of equal pointers.  Grow-only thread-local
+/// scratch sized for k members, so no steady-state call allocates.
+DenseAliases dense_aliases(const BatchView& y) {
+  using Member = std::pair<const double*, std::uint32_t>;
+  const std::size_t k = y.size();
+  DenseAliases al;
+  if (k < 2) return al;
+  SA_CHECK(k < (std::size_t{1} << 32), "dense Gram: batch too large");
+  const std::span<Member> order = chunk_scratch<Member>(k);
+  thread_local std::vector<std::uint32_t> slot, first;
+  thread_local std::vector<const double*> distinct;
+  // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
+  if (slot.size() < k) slot.resize(k);
+  // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
+  if (first.size() < k) first.resize(k);
+  // sa-lint: allow(alloc): grow-only scratch, steady state reuses it
+  if (distinct.size() < k) distinct.resize(k);
+  for (std::size_t i = 0; i < k; ++i)
+    order[i] = {y.row_pointers()[i], static_cast<std::uint32_t>(i)};
+  std::sort(order.begin(), order.end(), [](const Member& a, const Member& b) {
+    if (a.first != b.first) return std::less<const double*>()(a.first, b.first);
+    return a.second < b.second;
+  });
+  std::size_t m = 0;
+  for (std::size_t q = 0; q < k; ++q) {
+    if (q == 0 || order[q].first != order[q - 1].first) {
+      distinct[m] = order[q].first;
+      first[m] = order[q].second;  // the smallest member of its run
+      ++m;
+    }
+    slot[order[q].second] = static_cast<std::uint32_t>(m - 1);
+  }
+  if (m == k) return al;
+  al.count = m;
+  const std::size_t padded = (m + 3) / 4 * 4;
+  if (k % 4 == 0 && padded < k) {
+    for (std::size_t u = m; u < padded; ++u) distinct[u] = distinct[m - 1];
+    al.padded = padded;
+  }
+  al.slot = std::span<const std::uint32_t>(slot.data(), k);
+  al.first = std::span<const std::uint32_t>(first.data(), m);
+  al.distinct = std::span<const double* const>(distinct.data(), k);
+  return al;
+}
+
+/// Copies the distinct members' packed triangle `tri` (al.padded slots)
+/// into the k-member packed triangle `g`.
+void expand_aliased(const DenseAliases& al, std::size_t k, const double* tri,
+                    double* g) {
+  const std::size_t n = al.padded;
+  for (std::size_t p = 0; p < k; ++p) {
+    const std::size_t u = al.slot[p];
+    for (std::size_t q = p; q < k; ++q, ++g) {
+      const std::size_t v = al.slot[q];
+      *g = u <= v ? tri[packed_upper_index(u, v, n)]
+                  : tri[packed_upper_index(v, u, n)];
+    }
+  }
+}
+
+/// Packed Gram of dense y's members over [b, b + d) into g: the tile walk
+/// over all k members, or over the distinct ones into `tri` and then
+/// expanded.  `rows` holds k shifted pointers of scratch.
+void dense_gram_range(const BatchView& y, const DenseAliases& al,
+                      std::size_t b, std::size_t d, double* g,
+                      std::span<const double*> rows, std::span<double> tri,
+                      bool parallel, const simd::KernelTable& kt) {
+  const std::size_t k = y.size();
+  if (al.padded == 0) {
+    for (std::size_t i = 0; i < k; ++i) rows[i] = y.row_pointers()[i] + b;
+    dense_triangle(rows.data(), k, d, g, parallel, kt);
+    return;
+  }
+  for (std::size_t u = 0; u < al.padded; ++u) rows[u] = al.distinct[u] + b;
+  dense_triangle(rows.data(), al.padded, d, tri.data(), parallel, kt);
+  expand_aliased(al, k, tri.data(), g);
+}
+
+/// One dot section of dense y over [b, b + d): out[i] = (member i) · x,
+/// each reading [b, b + d).  A repeated member's dot is computed once, at
+/// its first member, and copied.
+void dense_dot_section(const BatchView& y, const DenseAliases& al,
+                       const double* x, std::size_t b, std::size_t d,
+                       double* out, bool parallel,
+                       const simd::KernelTable& kt) {
+  const std::size_t k = y.size();
+  if (al.count == 0) {
+    parallel_for(k, parallel, [&](std::size_t i) {
+      out[i] = kt.dot(y.row_pointers()[i] + b, x + b, d);
+    });
+    return;
+  }
+  parallel_for(al.count, parallel, [&](std::size_t u) {
+    out[al.first[u]] = kt.dot(al.distinct[u] + b, x + b, d);
+  });
+  for (std::size_t i = 0; i < k; ++i) out[i] = out[al.first[al.slot[i]]];
+}
+
+/// The running thread's dense Gram scratch for k members: k shifted row
+/// pointers, and room for the distinct members' triangle when k is a
+/// multiple of 4 (the only k that walks distinct members), sized for k so
+/// that no later round's distinct count makes it grow.
+struct DenseScratch {
+  std::span<const double*> rows;
+  std::span<double> tri;
+};
+
+DenseScratch dense_scratch(std::size_t k) {
+  return {chunk_scratch<const double*>(k),
+          chunk_scratch<double>(k % 4 == 0 ? k * (k + 1) / 2 : 0)};
 }
 
 /// Shared argument checks of the chunk-major kernels: `bounds` is a
@@ -415,18 +594,10 @@ void sampled_gram_and_dots(const BatchView& y,
 
   const simd::KernelTable& kt = simd::active();
   if (y.is_dense()) {
-    // Gram: upper-triangle tile pairs, iterated by flat index (no
-    // materialised pair list — this runs once per outer iteration and must
-    // not allocate).  Tiles are independent, so the visiting order does
-    // not affect any output value.
-    std::fill(out.begin(), out.begin() + tri, 0.0);
-    const std::size_t tiles = (k + kGramTile - 1) / kGramTile;
-    const std::size_t tile_pairs = tiles * (tiles + 1) / 2;
-    const bool parallel = k * (k + 1) * d / 2 >= kParallelFlopThreshold;
-    parallel_for(tile_pairs, parallel, [&](std::size_t t) {
-      dense_tile(y.row_pointers().data(), d, k, tiles, t, g, kt);
-    });
-    // Dot sections: the batch_dots kernel, one call per section.
+    const DenseAliases al = dense_aliases(y);
+    const DenseScratch scratch = dense_scratch(k);
+    dense_gram_range(y, al, 0, d, g, scratch.rows, scratch.tri,
+                     k * (k + 1) * d / 2 >= kParallelFlopThreshold, kt);
     for (std::size_t sct = 0; sct < xs.size(); ++sct)
       batch_dots(y, xs[sct], std::span<double>(dots + sct * k, k));
     return;
@@ -464,46 +635,37 @@ void sampled_gram_chunks(const BatchView& y,
   if (k == 0 || nc == 0) return;
   const simd::KernelTable& kt = simd::active();
   if (y.is_dense()) {
-    // The full-range tile walker per chunk, on row pointers shifted to
-    // the chunk.
-    const std::span<const double*> rows = chunk_scratch<const double*>(k);
-    const std::size_t tiles = (k + kGramTile - 1) / kGramTile;
-    const std::size_t tile_pairs = tiles * (tiles + 1) / 2;
+    // The tile walker per chunk, on row pointers shifted to the chunk.  A
+    // lone chunk shares its tile pairs with the team instead.
+    const DenseAliases al = dense_aliases(y);
     const bool parallel = k * (k + 1) * (bounds.back() - bounds.front()) /
                               2 >=
                           kParallelFlopThreshold;
     for_each_chunk(
-        nc, tile_pairs, parallel,
-        [&](std::size_t c) {
-          for (std::size_t i = 0; i < k; ++i)
-            rows[i] = y.row_pointers()[i] + bounds[c];
-          std::fill_n(out.data() + c * stride, tri, 0.0);
-        },
-        [&](std::size_t c, std::size_t t) {
-          dense_tile(rows.data(), bounds[c + 1] - bounds[c], k, tiles, t,
-                     out.data() + c * stride, kt);
+        nc, parallel, [&] { return dense_scratch(k); },
+        [&](const DenseScratch& s, std::size_t c) {
+          dense_gram_range(y, al, bounds[c], bounds[c + 1] - bounds[c],
+                           out.data() + c * stride, s.rows, s.tri,
+                           parallel && nc == 1, kt);
         });
     return;
   }
   // Sparse: per member the same scatter + partner gathers as the
-  // full-range row, over the members' segments in the chunk.  Preparing a
-  // chunk unlinks the previous chunk's rows, then links its own.
-  const std::span<Segment> segs = start_segments(y);
-  RowLinks rl = row_links(y);
+  // full-range row, over the members' segments in the chunk, which are
+  // linked into row lists for the chunk and unlinked after it.
   const bool parallel = k * y.nnz() >= kParallelFlopThreshold && k > 1;
   for_each_chunk(
-      nc, k, parallel,
-      [&](std::size_t c) {
-        unlink_rows(segs, rl);
-        advance_segments(y, bounds[c], bounds[c + 1], segs);
-        link_rows(segs, rl);
-      },
-      [&](std::size_t c, std::size_t i) {
-        sparse_gram_row(segs, rl, i, sparse_gram_workspace(y.dim()),
-                        out.data() + c * stride + packed_upper_index(i, i, k),
-                        kt);
+      nc, parallel, [&] { return sparse_chunk_scratch(y, true); },
+      [&](SparseChunkScratch& s, std::size_t c) {
+        seek_segments(y, bounds[c], bounds[c + 1], c == s.next, s.segs);
+        s.next = c + 1;
+        link_rows(s.segs, s.rl);
+        for (std::size_t i = 0; i < k; ++i)
+          sparse_gram_row(s.segs, s.rl, i, *s.acc,
+                          out.data() + c * stride + packed_upper_index(i, i, k),
+                          kt);
+        unlink_rows(s.segs, s.rl);
       });
-  unlink_rows(segs, rl);
 }
 
 void sampled_dots_chunks(const BatchView& y,
@@ -521,32 +683,31 @@ void sampled_dots_chunks(const BatchView& y,
   const std::size_t ns = xs.size();
   const bool parallel =
       2 * ns * y.nnz() >= kParallelFlopThreshold && ns * k > 1;
-  // Work item t = sct·k + i of a chunk is entry t of its dot sections:
-  // one section at a time over all members, the order of batch_dots.
+  // A chunk's dot sections go one section at a time over all members,
+  // the order of batch_dots.
   if (y.is_dense()) {
+    const DenseAliases al = dense_aliases(y);
     for_each_chunk(
-        nc, ns * k, parallel, [](std::size_t) {},
-        [&](std::size_t c, std::size_t t) {
-          const std::size_t sct = t / k;
+        nc, parallel, [] { return 0; },
+        [&](int, std::size_t c) {
           const std::size_t b = bounds[c];
-          out[c * stride + t] = kt.dot(y.row_pointers()[t - sct * k] + b,
-                                       xs[sct].data() + b, bounds[c + 1] - b);
+          for (std::size_t sct = 0; sct < ns; ++sct)
+            dense_dot_section(y, al, xs[sct].data(), b, bounds[c + 1] - b,
+                              out.data() + c * stride + sct * k, false, kt);
         });
     return;
   }
-  const std::span<Segment> segs = start_segments(y);
   for_each_chunk(
-      nc, ns * k, parallel,
-      [&](std::size_t c) {
-        advance_segments(y, bounds[c], bounds[c + 1], segs);
-      },
-      [&](std::size_t c, std::size_t t) {
-        const std::size_t sct = t / k;
-        const Segment si = segs[t - sct * k];
+      nc, parallel, [&] { return sparse_chunk_scratch(y, false); },
+      [&](SparseChunkScratch& s, std::size_t c) {
+        seek_segments(y, bounds[c], bounds[c + 1], c == s.next, s.segs);
+        s.next = c + 1;
         // Same gather order as dot(SparseVector, span), through the FULL
         // right-hand sides (the members keep their absolute indices).
-        out[c * stride + t] =
-            kt.gather_dot(si.val, si.idx, si.n, xs[sct].data());
+        for (std::size_t sct = 0; sct < ns; ++sct)
+          for (std::size_t i = 0; i < k; ++i)
+            out[c * stride + sct * k + i] = kt.gather_dot(
+                s.segs[i].val, s.segs[i].idx, s.segs[i].n, xs[sct].data());
       });
 }
 
@@ -559,10 +720,8 @@ void batch_dots(const BatchView& y, std::span<const double> x,
   const bool parallel = 2 * y.nnz() >= kParallelFlopThreshold && k > 1;
   const simd::KernelTable& kt = simd::active();
   if (y.is_dense()) {
-    parallel_for(k, parallel, [&](std::size_t i) {
-      const std::span<const double> row = y.dense_row(i);
-      out[i] = kt.dot(row.data(), x.data(), row.size());
-    });
+    dense_dot_section(y, dense_aliases(y), x.data(), 0, y.dim(), out.data(),
+                      parallel, kt);
     return;
   }
   parallel_for(k, parallel, [&](std::size_t i) {

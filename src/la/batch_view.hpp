@@ -91,9 +91,11 @@ class BatchView {
   /// Flops of the packed Gram kernel on this view, as a model formula:
   /// dense k(k+1)·dim (2·dim per pair over the upper triangle); sparse
   /// Σ_j 2(j+1)·nnz_j (a gather through v_j's nonzeros for every pair
-  /// (i ≤ j, j)).  The sparse kernels skip the pairs that share no row, so
-  /// they do at most this much work.  Deterministic, used by the cost
-  /// model.
+  /// (i ≤ j, j)).  The kernels do at most this much work: the sparse ones
+  /// skip the pairs that share no row, and the dense ones compute the
+  /// entries of aliased members (one row pointer drawn twice) once.  The
+  /// formula counts every member all the same.  Deterministic, used by
+  /// the cost model.
   std::size_t gram_flops() const;
 
   /// Flops of one dot section (2·nnz).
@@ -154,8 +156,13 @@ void batch_dots(const BatchView& y, std::span<const double> x,
 // (sparse members narrowed to their in-range nonzeros with absolute
 // indices; dense members shifted to the range) — so any two ranks, or
 // rank counts, that own the same global chunk produce identical bits.
-// Steady-state calls allocate nothing (grow-only thread-local scratch,
-// sized by the first, largest round) and fork at most one OpenMP team.
+// Dense members that alias (share a row pointer: the same column or row
+// drawn twice) have their Gram entries and dots computed once and copied
+// to the repeats; the bits equal those of private copies of each member,
+// so aliasing is invisible in the output.  The thread count is invisible
+// too: each chunk is packed whole by one thread.  Steady-state calls
+// allocate nothing (grow-only thread-local scratch, sized for k members by
+// the first, largest round) and fork at most one OpenMP team.
 
 /// Packed Gram partial of each chunk: out[c·stride, c·stride + k(k+1)/2)
 /// for c < nc.  Entries between the chunk sections are left untouched.

@@ -4,6 +4,9 @@
 // constants — independently of any reference implementation.
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "core/objective.hpp"
 #include "core/prox.hpp"
 #include "data/synthetic.hpp"
+#include "dist/serial_comm.hpp"
 #include "la/csc.hpp"
 #include "la/vector_ops.hpp"
 
@@ -181,6 +185,31 @@ data::Dataset realistic_problem() {
   return data::make_regression(cfg).dataset;
 }
 
+/// Worst violation of group-Lasso block stationarity at x:
+/// A_gᵀr + λ·x_g/‖x_g‖ = 0 on active groups and ‖A_gᵀr‖ ≤ λ on inactive
+/// ones.
+double group_stationarity(const data::Dataset& d,
+                          const std::vector<double>& x,
+                          const SolverSpec& spec) {
+  const std::vector<double> g = ls_gradient(d, x);
+  double worst = 0.0;
+  for (std::size_t gi = 0; gi < spec.groups.num_groups(); ++gi) {
+    const std::size_t begin = spec.groups.offsets[gi];
+    const std::size_t size = spec.groups.offsets[gi + 1] - begin;
+    const std::span<const double> xg(x.data() + begin, size);
+    const std::span<const double> gg(g.data() + begin, size);
+    const double norm_x = la::nrm2(xg);
+    if (norm_x > 0.0) {
+      for (std::size_t a = 0; a < size; ++a)
+        worst =
+            std::max(worst, std::abs(gg[a] + spec.lambda * xg[a] / norm_x));
+    } else {
+      worst = std::max(worst, la::nrm2(gg) - spec.lambda);
+    }
+  }
+  return worst;
+}
+
 /// (ranks, s) of one certified s-step solve.
 class SaOptimalityAtScale
     : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {};
@@ -208,32 +237,98 @@ TEST_P(SaOptimalityAtScale, SaGroupLassoBlockStationarity) {
   sa.s = s;
   sa.max_iterations = 1500;
   const SolveResult r = solve_on_ranks(d, sa, ranks);
-  const std::vector<double> g = ls_gradient(d, r.x);
-  double worst = 0.0;
-  for (std::size_t gi = 0; gi < sa.groups.num_groups(); ++gi) {
-    const std::size_t begin = sa.groups.offsets[gi];
-    const std::size_t size = sa.groups.offsets[gi + 1] - begin;
-    const std::span<const double> xg(r.x.data() + begin, size);
-    const std::span<const double> gg(g.data() + begin, size);
-    const double norm_x = la::nrm2(xg);
-    if (norm_x > 0.0) {
-      for (std::size_t a = 0; a < size; ++a)
-        worst = std::max(worst, std::abs(gg[a] + sa.lambda * xg[a] / norm_x));
-    } else {
-      worst = std::max(worst, la::nrm2(gg) - sa.lambda);
-    }
-  }
-  // Block stationarity: A_gᵀr + λ·x_g/‖x_g‖ = 0 on active groups and
-  // ‖A_gᵀr‖ ≤ λ on inactive ones.  sa-group-lasso converges more slowly
-  // on this problem (≈9e-11 here vs ≈2e-15 for sa-lasso after 1500
-  // iterations), so its bound is looser.
-  EXPECT_LT(worst, 1e-9);
+  // sa-group-lasso converges more slowly on this problem (≈9e-11 here vs
+  // ≈2e-15 for sa-lasso after 1500 iterations), so its bound is looser.
+  EXPECT_LT(group_stationarity(d, r.x, sa), 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     RanksAndDepth, SaOptimalityAtScale,
     ::testing::Combine(::testing::Values(1, 4),
                        ::testing::Values(std::size_t{1}, std::size_t{16})));
+
+// ------------------------------- dense rounds whose sampled columns repeat
+
+/// A dense 400×24 problem.  With µ = 4 and s = 16 a round samples 64
+/// columns of 24, so most of them repeat and the dense Gram computes each
+/// distinct column's entries once.
+data::Dataset dense_repeats_problem() {
+  data::RegressionConfig cfg;
+  cfg.num_points = 400;
+  cfg.num_features = 24;
+  cfg.density = 0.6;
+  cfg.support_size = 6;
+  cfg.noise_sigma = 0.05;
+  cfg.seed = 23;
+  return data::make_regression(cfg).dataset;
+}
+
+SolverSpec dense_repeats_spec(const std::string& id, std::size_t n) {
+  SolverSpec spec = SolverSpec::make(id);
+  spec.s = 16;
+  spec.max_iterations = 1500;
+  if (spec.family() == SolverFamily::kGroupLasso) {
+    spec.lambda = 2.0;
+    spec.groups = GroupStructure::uniform(n, 4);
+  } else {
+    spec.lambda = 1.0;
+    spec.block_size = 4;
+  }
+  return spec;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+class DenseRepeatedColumns : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DenseRepeatedColumns, SerialEqualsRanksBitwise) {
+  const data::Dataset d = dense_repeats_problem();
+  const SolverSpec spec = dense_repeats_spec(GetParam(), d.num_features());
+  const SolveResult serial = solve_on_ranks(d, spec, 1);
+  for (const int ranks : {2, 3, 4})
+    EXPECT_TRUE(same_bits(serial.x, solve_on_ranks(d, spec, ranks).x))
+        << ranks << " ranks";
+}
+
+TEST_P(DenseRepeatedColumns, ResumedEqualsUninterruptedBitwise) {
+  const data::Dataset d = dense_repeats_problem();
+  const SolverSpec spec = dense_repeats_spec(GetParam(), d.num_features());
+  const data::Partition rows = partition_for_ranks(d, spec, 1);
+  dist::SerialComm ref_comm;
+  const SolveResult reference = make_solver(ref_comm, d, rows, spec)->run();
+  dist::SerialComm comm_a;
+  const std::unique_ptr<Solver> interrupted =
+      make_solver(comm_a, d, rows, spec);
+  interrupted->step(spec.max_iterations / 3);
+  const std::vector<std::uint8_t> image = interrupted->snapshot();
+  dist::SerialComm comm_b;
+  const std::unique_ptr<Solver> resumed = make_solver(comm_b, d, rows, spec);
+  resumed->restore(image);
+  EXPECT_TRUE(same_bits(reference.x, resumed->run().x));
+}
+
+TEST_P(DenseRepeatedColumns, MeetsOptimalityCertificate) {
+  const data::Dataset d = dense_repeats_problem();
+  const SolverSpec spec = dense_repeats_spec(GetParam(), d.num_features());
+  const SolveResult r = solve_on_ranks(d, spec, 1);
+  ASSERT_GT(la::nrm2(r.x), 0.0);
+  if (spec.family() == SolverFamily::kGroupLasso) {
+    EXPECT_LT(group_stationarity(d, r.x, spec), 1e-9);
+  } else {
+    EXPECT_LT(prox_gradient_residual(d, r.x, spec.lambda), 1e-11);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SaIds, DenseRepeatedColumns,
+                         ::testing::Values("sa-lasso", "sa-group-lasso"),
+                         [](const ::testing::TestParamInfo<std::string>& p) {
+                           return p.param == "sa-lasso" ? "SaLasso"
+                                                        : "SaGroupLasso";
+                         });
 
 // ------------------------------------------------------------------ SVM
 

@@ -5,24 +5,60 @@
 // staging) and for both solver modes (accelerated = two dot sections,
 // plain = one); the chunk-major pack kernels must reproduce it chunk by
 // chunk.  Also the BatchView basics on hand-made batches: sizes, member
-// nnz, dense/sparse agreement, the add_scaled_to scatter, flop formulas.
+// nnz, dense/sparse agreement, the add_scaled_to scatter, flop formulas; and
+// the dense aliasing contract: members that share a row pointer are
+// computed once, with the same bits as private copies.  The binary owns a
+// counting global operator new so the aliased kernels can be shown
+// allocation-free once their scratch is sized.
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <new>
+#include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+#include "common/annotate.hpp"
 #include "core/detail.hpp"
 #include "core/local_data.hpp"
 #include "data/rng.hpp"
 #include "data/synthetic.hpp"
 #include "la/batch_view.hpp"
 #include "la/csc.hpp"
+#include "la/simd/simd.hpp"
 #include "la/sparse_vector.hpp"
 #include "la/vector_ops.hpp"
 #include "la/workspace.hpp"
+
+namespace {
+
+std::atomic<std::size_t> g_alloc_count{0};
+
+void* counted_alloc(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  sa::common::notify_allocation();
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace sa::la {
 namespace {
@@ -562,6 +598,225 @@ TEST(BatchView, EmptyBatchGramIsEmpty) {
   const BatchView v = empty.view(ws);
   EXPECT_EQ(v.size(), 0u);
   EXPECT_TRUE(packed_gram(v).empty());
+}
+
+// ---------------------------------------------------------------------
+// Dense aliasing.  Members that share a row pointer (the same column
+// drawn twice in one round) are computed once and copied to their
+// repeats.  On every ISA and thread count, every dense kernel must give
+// the same bits on such a view as on the same members copied into
+// private rows, where no two members share a pointer.
+// ---------------------------------------------------------------------
+
+/// Restores the entry ISA and OpenMP thread count on scope exit.
+class KernelSettingsGuard {
+ public:
+  KernelSettingsGuard() : isa_(simd::active_isa()) {
+#ifdef _OPENMP
+    threads_ = omp_get_max_threads();
+#endif
+  }
+  ~KernelSettingsGuard() {
+    simd::set_kernel_isa(isa_);
+#ifdef _OPENMP
+    omp_set_num_threads(threads_);
+#endif
+  }
+
+ private:
+  simd::Isa isa_;
+  int threads_ = 1;
+};
+
+std::vector<simd::Isa> available_isas() {
+  std::vector<simd::Isa> out;
+  for (const simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kSse2, simd::Isa::kAvx2})
+    if (simd::isa_available(isa)) out.push_back(isa);
+  return out;
+}
+
+std::vector<int> thread_counts() {
+#ifdef _OPENMP
+  return {1, std::max(2, omp_get_max_threads())};
+#else
+  return {1};
+#endif
+}
+
+/// Which pool rows the k members are: all distinct; s independent draws
+/// of µ distinct rows from n (a round's draw, with heavy repeats once s·µ
+/// nears n); or one row k times.
+enum class Draw { kDistinct, kSampled, kAllEqual };
+
+std::vector<std::size_t> draw_members(Draw draw, std::size_t k) {
+  std::vector<std::size_t> rows(k);
+  switch (draw) {
+    case Draw::kDistinct:
+      for (std::size_t i = 0; i < k; ++i) rows[i] = (i * 37 + 5) % 128;
+      break;
+    case Draw::kSampled: {
+      // (µ, n): the lasso-dense-p1 round (s = 16 draws of µ = 8 from
+      // n = 100) at k = 128, and the same s·µ ≥ n regime at small k.
+      const std::size_t mu = k == 128 ? 8 : 2;
+      const std::size_t n = k == 128 ? 100 : k / 2;
+      data::CoordinateSampler sampler(n, mu, 3 * k + 1);
+      for (std::size_t t = 0; t < k / mu; ++t)
+        sampler.next_into(std::span<std::size_t>(rows).subspan(t * mu, mu));
+      break;
+    }
+    case Draw::kAllEqual:
+      std::fill(rows.begin(), rows.end(), std::size_t{17});
+      break;
+  }
+  return rows;
+}
+
+const char* draw_name(Draw draw) {
+  switch (draw) {
+    case Draw::kDistinct:
+      return "distinct";
+    case Draw::kSampled:
+      return "sampled";
+    case Draw::kAllEqual:
+      return "all-equal";
+  }
+  return "?";
+}
+
+/// Every dense kernel's output on one view, concatenated: the chunk-major
+/// Gram and dot sections on each grid (gap words included), the fused
+/// kernel, and batch_dots.
+std::vector<double> dense_kernel_outputs(
+    const BatchView& view, std::span<const std::span<const double>> xs,
+    std::span<const std::vector<std::size_t>> grids) {
+  const std::size_t k = view.size();
+  const std::size_t tri = k * (k + 1) / 2;
+  const std::size_t stride = tri + xs.size() * k + 3;  // gap of 3
+  std::vector<double> all;
+  for (const std::vector<std::size_t>& bounds : grids) {
+    std::vector<double> wire((bounds.size() - 1) * stride, 7.0);
+    sampled_gram_chunks(view, bounds, stride, wire);
+    sampled_dots_chunks(view, xs, bounds, stride,
+                        std::span<double>(wire).subspan(tri));
+    all.insert(all.end(), wire.begin(), wire.end());
+  }
+  std::vector<double> fused(fused_buffer_size(k, xs.size()), 7.0);
+  sampled_gram_and_dots(view, xs, fused);
+  all.insert(all.end(), fused.begin(), fused.end());
+  std::vector<double> dots(k, 7.0);
+  batch_dots(view, xs[0], dots);
+  all.insert(all.end(), dots.begin(), dots.end());
+  return all;
+}
+
+DenseMatrix random_pool(std::size_t rows, std::size_t dim,
+                        std::uint64_t seed) {
+  DenseMatrix pool(rows, dim);
+  data::SplitMix64 rng(seed);
+  for (std::size_t i = 0; i < rows; ++i)
+    for (std::size_t j = 0; j < dim; ++j) pool(i, j) = rng.next_normal();
+  return pool;
+}
+
+TEST(DenseAliasing, AliasedViewsBitIdenticalToPrivateCopies) {
+  KernelSettingsGuard guard;
+  // An odd dimension (rows of both matrices at mixed alignments) over
+  // two depth slices of the tile walker, and a grid with empty chunks.
+  const std::size_t dim = 523;
+  const std::vector<std::vector<std::size_t>> grids{
+      {0, dim}, {0, 0, 100, 100, 517, 518, dim, dim}};
+  const DenseMatrix pool = random_pool(128, dim, 77);
+  const std::vector<double> x1 = random_vector(dim, 78);
+  const std::vector<double> x2 = random_vector(dim, 79);
+  const std::array<std::span<const double>, 2> xs{std::span<const double>(x1),
+                                                  std::span<const double>(x2)};
+
+  for (const simd::Isa isa : available_isas()) {
+    ASSERT_TRUE(simd::set_kernel_isa(isa));
+    for (const int threads : thread_counts()) {
+#ifdef _OPENMP
+      omp_set_num_threads(threads);
+#endif
+      // k = 10 is not a multiple of 4, so its Gram keeps the full walk.
+      for (const std::size_t k : {std::size_t{4}, std::size_t{8},
+                                  std::size_t{10}, std::size_t{128}}) {
+        for (const Draw draw :
+             {Draw::kDistinct, Draw::kSampled, Draw::kAllEqual}) {
+          const std::vector<std::size_t> rows = draw_members(draw, k);
+          const std::size_t distinct =
+              std::set<std::size_t>(rows.begin(), rows.end()).size();
+          ASSERT_EQ(distinct == k, draw == Draw::kDistinct);
+          Workspace ws_aliased, ws_copies;
+          const BatchView aliased = BatchView::of_rows(pool, rows, ws_aliased);
+          DenseMatrix copies(k, dim);
+          for (std::size_t i = 0; i < k; ++i)
+            for (std::size_t j = 0; j < dim; ++j)
+              copies(i, j) = pool(rows[i], j);
+          const BatchView unaliased = BatchView::of(copies, ws_copies);
+
+          const std::vector<double> got =
+              dense_kernel_outputs(aliased, xs, grids);
+          const std::vector<double> want =
+              dense_kernel_outputs(unaliased, xs, grids);
+          ASSERT_EQ(got.size(), want.size());
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(double)),
+                    0)
+              << "isa " << simd::to_cstring(isa) << " threads " << threads
+              << " k " << k << " " << draw_name(draw) << " (" << distinct
+              << " distinct)";
+        }
+      }
+    }
+  }
+}
+
+TEST(DenseAliasing, SecondRoundAllocatesNothing) {
+  KernelSettingsGuard guard;
+  const std::size_t dim = 600;
+  const DenseMatrix pool = random_pool(100, dim, 81);
+  const std::vector<double> x = random_vector(dim, 82);
+  const std::array<std::span<const double>, 1> xs{std::span<const double>(x)};
+  const std::vector<std::size_t> bounds{0, 0, 150, 300, 450, dim};
+  const std::size_t k = 128;
+  const std::size_t stride = fused_buffer_size(k, 1);
+  std::vector<double> wire((bounds.size() - 1) * stride);
+  std::vector<double> fused(fused_buffer_size(k, 1));
+  std::vector<std::size_t> rows(k);
+  Workspace ws;
+  for (const int threads : thread_counts()) {
+#ifdef _OPENMP
+    omp_set_num_threads(threads);
+#endif
+    // Each round is a fresh draw of s = 16 blocks of µ = 8 from n = 100,
+    // so the two rounds have different distinct counts.
+    data::CoordinateSampler sampler(100, 8, 5);
+    std::vector<std::size_t> distinct;
+    auto run_round = [&] {
+      for (std::size_t t = 0; t < k / 8; ++t)
+        sampler.next_into(std::span<std::size_t>(rows).subspan(t * 8, 8));
+      const BatchView view = BatchView::of_rows(pool, rows, ws);
+      sampled_gram_chunks(view, bounds, stride, wire);
+      sampled_dots_chunks(view, xs, bounds, stride,
+                          std::span<double>(wire).subspan(k * (k + 1) / 2));
+      sampled_gram_and_dots(view, xs, fused);
+      batch_dots(view, x, std::span<double>(fused).subspan(0, k));
+    };
+    run_round();
+    distinct.push_back(std::set<std::size_t>(rows.begin(), rows.end()).size());
+    common::reset_steady_state_violations();
+    common::arm_allocation_guard(true);
+    const std::size_t before = g_alloc_count.load();
+    run_round();
+    const std::size_t allocations = g_alloc_count.load() - before;
+    common::arm_allocation_guard(false);
+    distinct.push_back(std::set<std::size_t>(rows.begin(), rows.end()).size());
+    EXPECT_LT(distinct[0], k);
+    EXPECT_NE(distinct[0], distinct[1]);
+    EXPECT_EQ(allocations, 0u) << "threads " << threads;
+    EXPECT_EQ(common::steady_state_violations(), 0u) << "threads " << threads;
+  }
 }
 
 }  // namespace
