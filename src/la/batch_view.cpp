@@ -26,7 +26,8 @@
 //
 // Output is the *packed* row-major upper triangle (plus optional dot
 // sections), written straight into the caller's allreduce buffer.  The
-// chunk-major entry points hand whole chunks to threads.
+// chunk-major entry points hand whole chunks to threads, or share each
+// chunk's work with the team when there are fewer chunks than threads.
 #include "la/batch_view.hpp"
 
 #include <algorithm>
@@ -240,33 +241,76 @@ void seek_segments(const BatchView& y, std::size_t begin, std::size_t end,
   }
 }
 
-/// Runs body(scratch, c) for every chunk c < nc, where `scratch` is what
-/// setup() returns on the running thread.  With `parallel` set, more than
-/// one chunk and more than one thread available, ONE OpenMP region hands
-/// each thread a contiguous run of whole chunks (static schedule), with no
-/// barrier between chunks; every thread calls setup() first, whether or
-/// not it gets a chunk, so its grow-only scratch is sized by the first call
-/// and no later call allocates.  Otherwise a plain loop on the calling
-/// thread.  Each chunk's outputs are written by one thread in a fixed
-/// order, so the bits do not depend on the thread count.
-template <typename Setup, typename Body>
-void for_each_chunk(std::size_t nc, bool parallel, Setup&& setup,
-                    Body&& body) {
+/// Packs chunks c < nc, each in three steps on one thread's scratch:
+/// prepare(scratch, c), then item(scratch, c, t) for every t < n, then
+/// wrap_up(scratch, c).  A chunk's items write disjoint outputs and may read
+/// what prepare left in the scratch.  setup(owner) returns the running
+/// thread's scratch; `owner` is false on a thread that only runs items of
+/// chunks prepared on another thread's scratch.  With `parallel` set and
+/// more than one thread, ONE OpenMP region packs the chunks:
+///
+///   * at least as many chunks as threads: each thread packs a contiguous
+///     run of whole chunks (static schedule) on its own scratch, with no
+///     barrier between chunks;
+///   * fewer chunks than threads: the chunks go in order on the first
+///     thread's scratch; one thread prepares a chunk (and wraps up the one
+///     before) and the team shares its items, so no thread idles for want
+///     of a chunk.
+///
+/// Otherwise plain loops on the calling thread.  Every thread of the region
+/// calls setup() once per call, so its grow-only scratch is sized by the
+/// first call and no later call allocates.  Each output entry is written by
+/// one thread in a fixed order, so the bits do not depend on the thread
+/// count.
+template <typename Setup, typename Prepare, typename Item, typename WrapUp>
+void for_each_chunk(std::size_t nc, std::size_t n, bool parallel,
+                    Setup&& setup, Prepare&& prepare, Item&& item,
+                    WrapUp&& wrap_up) {
+  const auto whole = [&](auto& scratch, std::size_t c) {
+    prepare(scratch, c);
+    for (std::size_t t = 0; t < n; ++t) item(scratch, c, t);
+    wrap_up(scratch, c);
+  };
 #ifdef _OPENMP
-  if (parallel && nc > 1 && omp_get_max_threads() > 1) {
+  const auto threads = static_cast<std::size_t>(omp_get_max_threads());
+  if (parallel && threads > 1 && nc >= threads) {
 #pragma omp parallel
     {
-      auto scratch = setup();
+      auto scratch = setup(true);
 #pragma omp for schedule(static)
       for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(nc); ++c)
-        body(scratch, static_cast<std::size_t>(c));
+        whole(scratch, static_cast<std::size_t>(c));
+    }
+    return;
+  }
+  if (parallel && threads > 1 && nc > 0) {
+    using Scratch = decltype(setup(true));
+    Scratch* shared = nullptr;
+#pragma omp parallel
+    {
+      const bool owner = omp_get_thread_num() == 0;
+      Scratch scratch = setup(owner);
+      if (owner) shared = &scratch;
+#pragma omp barrier
+      for (std::size_t c = 0; c < nc; ++c) {
+#pragma omp single
+        {
+          if (c > 0) wrap_up(*shared, c - 1);
+          prepare(*shared, c);
+        }
+#pragma omp for schedule(dynamic)
+        for (std::ptrdiff_t t = 0; t < static_cast<std::ptrdiff_t>(n); ++t)
+          item(*shared, c, static_cast<std::size_t>(t));
+      }
+#pragma omp single
+      wrap_up(*shared, nc - 1);
     }
     return;
   }
 #endif
   (void)parallel;
-  auto scratch = setup();
-  for (std::size_t c = 0; c < nc; ++c) body(scratch, c);
+  auto scratch = setup(true);
+  for (std::size_t c = 0; c < nc; ++c) whole(scratch, c);
 }
 
 /// Grow-only thread-local scratch of n entries of T, one vector per T and
@@ -280,18 +324,18 @@ std::span<T> chunk_scratch(std::size_t n) {
 }
 
 /// A thread's sparse chunk scratch: the members' segments in its current
-/// chunk, its row lists, its accumulator, and the chunk after the last one
-/// it packed (the one its segments can walk on to).
+/// chunk, its row lists, and the chunk after the last one it packed (the
+/// one its segments can walk on to).
 struct SparseChunkScratch {
   std::span<Segment> segs;
   RowLinks rl;
-  std::vector<double>* acc = nullptr;
   std::size_t next = 0;
 };
 
 /// The running thread's sparse chunk scratch for y, sized for it, with
 /// empty segments at each member's first nonzero (chunk 0 walks from
-/// there).  `links` asks for the Gram's row lists and partner scratch.
+/// there).  `links` asks for the Gram's row lists, accumulator and partner
+/// scratch.
 SparseChunkScratch sparse_chunk_scratch(const BatchView& y, bool links) {
   SparseChunkScratch s;
   s.segs = chunk_scratch<Segment>(y.size());
@@ -299,7 +343,7 @@ SparseChunkScratch sparse_chunk_scratch(const BatchView& y, bool links) {
     s.segs[i] = {y.member_indices(i).data(), y.member_values(i).data(), 0};
   if (links) {
     s.rl = row_links(y);
-    s.acc = &sparse_gram_workspace(y.dim());
+    sparse_gram_workspace(y.dim());
     partner_workspace(y.size());
   }
   return s;
@@ -326,18 +370,6 @@ void dense_tile(const double* const* rows, std::size_t d, std::size_t k,
                std::min(jb + kGramTile, k));
 }
 
-/// Packed upper triangle of the n members rows[·][0, d) into g: zeroes it,
-/// then runs every tile pair (iterated by flat index, no materialised pair
-/// list; tiles are independent, so the visiting order changes no bits).
-void dense_triangle(const double* const* rows, std::size_t n, std::size_t d,
-                    double* g, bool parallel, const simd::KernelTable& kt) {
-  std::fill_n(g, n * (n + 1) / 2, 0.0);
-  const std::size_t tiles = (n + kGramTile - 1) / kGramTile;
-  parallel_for(tiles * (tiles + 1) / 2, parallel, [&](std::size_t t) {
-    dense_tile(rows, d, n, tiles, t, g, kt);
-  });
-}
-
 // ---------------------------------------------------------------------------
 // Dense aliasing.  A round's s·µ members are s independent draws of µ
 // columns, so once s·µ nears n many of them repeat.  Two dense members
@@ -358,21 +390,19 @@ void dense_triangle(const double* const* rows, std::size_t n, std::size_t d,
 // ---------------------------------------------------------------------------
 
 struct DenseAliases {
-  std::span<const std::uint32_t> slot;     // member → distinct slot
-  std::span<const std::uint32_t> first;    // slot → its first member
+  std::span<const std::uint32_t> slot;      // member → distinct slot
+  std::span<const std::uint32_t> first;     // slot → its first member
   std::span<const double* const> distinct;  // slot → row pointer
-  std::size_t count = 0;   // distinct members; 0: no member repeats
   std::size_t padded = 0;  // slots the Gram walks; 0: walk all k members
 };
 
 /// The alias map of dense view y, in O(k log k): members sorted by row
-/// pointer, one slot per run of equal pointers.  Grow-only thread-local
-/// scratch sized for k members, so no steady-state call allocates.
+/// pointer, one slot per run of equal pointers (with no repeats, one slot
+/// per member).  Grow-only thread-local scratch sized for k members, so no
+/// steady-state call allocates.
 DenseAliases dense_aliases(const BatchView& y) {
   using Member = std::pair<const double*, std::uint32_t>;
   const std::size_t k = y.size();
-  DenseAliases al;
-  if (k < 2) return al;
   SA_CHECK(k < (std::size_t{1} << 32), "dense Gram: batch too large");
   const std::span<Member> order = chunk_scratch<Member>(k);
   thread_local std::vector<std::uint32_t> slot, first;
@@ -398,8 +428,7 @@ DenseAliases dense_aliases(const BatchView& y) {
     }
     slot[order[q].second] = static_cast<std::uint32_t>(m - 1);
   }
-  if (m == k) return al;
-  al.count = m;
+  DenseAliases al;
   const std::size_t padded = (m + 3) / 4 * 4;
   if (k % 4 == 0 && padded < k) {
     for (std::size_t u = m; u < padded; ++u) distinct[u] = distinct[m - 1];
@@ -426,48 +455,11 @@ void expand_aliased(const DenseAliases& al, std::size_t k, const double* tri,
   }
 }
 
-/// Packed Gram of dense y's members over [b, b + d) into g: the tile walk
-/// over all k members, or over the distinct ones into `tri` and then
-/// expanded.  `rows` holds k shifted pointers of scratch.
-void dense_gram_range(const BatchView& y, const DenseAliases& al,
-                      std::size_t b, std::size_t d, double* g,
-                      std::span<const double*> rows, std::span<double> tri,
-                      bool parallel, const simd::KernelTable& kt) {
-  const std::size_t k = y.size();
-  if (al.padded == 0) {
-    for (std::size_t i = 0; i < k; ++i) rows[i] = y.row_pointers()[i] + b;
-    dense_triangle(rows.data(), k, d, g, parallel, kt);
-    return;
-  }
-  for (std::size_t u = 0; u < al.padded; ++u) rows[u] = al.distinct[u] + b;
-  dense_triangle(rows.data(), al.padded, d, tri.data(), parallel, kt);
-  expand_aliased(al, k, tri.data(), g);
-}
-
-/// One dot section of dense y over [b, b + d): out[i] = (member i) · x,
-/// each reading [b, b + d).  A repeated member's dot is computed once, at
-/// its first member, and copied.
-void dense_dot_section(const BatchView& y, const DenseAliases& al,
-                       const double* x, std::size_t b, std::size_t d,
-                       double* out, bool parallel,
-                       const simd::KernelTable& kt) {
-  const std::size_t k = y.size();
-  if (al.count == 0) {
-    parallel_for(k, parallel, [&](std::size_t i) {
-      out[i] = kt.dot(y.row_pointers()[i] + b, x + b, d);
-    });
-    return;
-  }
-  parallel_for(al.count, parallel, [&](std::size_t u) {
-    out[al.first[u]] = kt.dot(al.distinct[u] + b, x + b, d);
-  });
-  for (std::size_t i = 0; i < k; ++i) out[i] = out[al.first[al.slot[i]]];
-}
-
-/// The running thread's dense Gram scratch for k members: k shifted row
-/// pointers, and room for the distinct members' triangle when k is a
-/// multiple of 4 (the only k that walks distinct members), sized for k so
-/// that no later round's distinct count makes it grow.
+/// A thread's dense chunk scratch: the shifted row pointers of the
+/// members the Gram walks, and room for the distinct members' triangle
+/// when k is a multiple of 4 (the only k that walks distinct members).
+/// The triangle is sized for k whatever this round's distinct count, so a
+/// later round with other repeats never makes it grow.
 struct DenseScratch {
   std::span<const double*> rows;
   std::span<double> tri;
@@ -476,6 +468,70 @@ struct DenseScratch {
 DenseScratch dense_scratch(std::size_t k) {
   return {chunk_scratch<const double*>(k),
           chunk_scratch<double>(k % 4 == 0 ? k * (k + 1) / 2 : 0)};
+}
+
+/// Packed Gram partial of dense y on each chunk of `bounds` (see
+/// sampled_gram_chunks): the tile walker on row pointers shifted to the
+/// chunk, over all k members, or over the distinct ones into the scratch
+/// triangle, expanded into the chunk's section when its items are done.
+void dense_gram_chunks(const BatchView& y, const DenseAliases& al,
+                       std::span<const std::size_t> bounds,
+                       std::size_t stride, double* out, bool parallel,
+                       const simd::KernelTable& kt) {
+  const std::size_t k = y.size();
+  const std::size_t n = al.padded == 0 ? k : al.padded;
+  const double* const* members =
+      al.padded == 0 ? y.row_pointers().data() : al.distinct.data();
+  const std::size_t tiles = (n + kGramTile - 1) / kGramTile;
+  // The triangle the tile walker fills: the chunk's section, or scratch.
+  const auto target = [&](const DenseScratch& s, std::size_t c) {
+    return al.padded == 0 ? out + c * stride : s.tri.data();
+  };
+  for_each_chunk(
+      bounds.size() - 1, tiles * (tiles + 1) / 2, parallel,
+      [&](bool owner) { return dense_scratch(owner ? k : 0); },
+      [&](DenseScratch& s, std::size_t c) {
+        for (std::size_t u = 0; u < n; ++u) s.rows[u] = members[u] + bounds[c];
+        std::fill_n(target(s, c), n * (n + 1) / 2, 0.0);
+      },
+      [&](const DenseScratch& s, std::size_t c, std::size_t t) {
+        dense_tile(s.rows.data(), bounds[c + 1] - bounds[c], n, tiles, t,
+                   target(s, c), kt);
+      },
+      [&](const DenseScratch& s, std::size_t c) {
+        if (al.padded != 0)
+          expand_aliased(al, k, s.tri.data(), out + c * stride);
+      });
+}
+
+/// Dot-section partials of dense y on each chunk of `bounds` (see
+/// sampled_dots_chunks): one section at a time over all members, the order
+/// of batch_dots.  A repeated member's dot is computed once, at its first
+/// member, and copied when the chunk's items are done.
+void dense_dots_chunks(const BatchView& y, const DenseAliases& al,
+                       std::span<const std::span<const double>> xs,
+                       std::span<const std::size_t> bounds,
+                       std::size_t stride, double* out, bool parallel,
+                       const simd::KernelTable& kt) {
+  const std::size_t k = y.size();
+  const std::size_t m = al.first.size();
+  for_each_chunk(
+      bounds.size() - 1, xs.size() * m, parallel, [](bool) { return 0; },
+      [](int, std::size_t) {},
+      [&](int, std::size_t c, std::size_t t) {
+        const std::size_t sct = t / m;
+        const std::size_t u = t - sct * m;
+        const std::size_t b = bounds[c];
+        out[c * stride + sct * k + al.first[u]] =
+            kt.dot(al.distinct[u] + b, xs[sct].data() + b, bounds[c + 1] - b);
+      },
+      [&](int, std::size_t c) {
+        for (std::size_t sct = 0; sct < xs.size(); ++sct) {
+          double* section = out + c * stride + sct * k;
+          for (std::size_t i = 0; i < k; ++i)
+            section[i] = section[al.first[al.slot[i]]];
+        }
+      });
 }
 
 /// Shared argument checks of the chunk-major kernels: `bounds` is a
@@ -594,12 +650,13 @@ void sampled_gram_and_dots(const BatchView& y,
 
   const simd::KernelTable& kt = simd::active();
   if (y.is_dense()) {
+    const std::size_t whole[] = {0, d};
     const DenseAliases al = dense_aliases(y);
-    const DenseScratch scratch = dense_scratch(k);
-    dense_gram_range(y, al, 0, d, g, scratch.rows, scratch.tri,
-                     k * (k + 1) * d / 2 >= kParallelFlopThreshold, kt);
-    for (std::size_t sct = 0; sct < xs.size(); ++sct)
-      batch_dots(y, xs[sct], std::span<double>(dots + sct * k, k));
+    dense_gram_chunks(y, al, whole, tri, g,
+                      k * (k + 1) * d / 2 >= kParallelFlopThreshold, kt);
+    dense_dots_chunks(
+        y, al, xs, whole, xs.size() * k, dots,
+        2 * xs.size() * y.nnz() >= kParallelFlopThreshold && k > 1, kt);
     return;
   }
 
@@ -635,37 +692,30 @@ void sampled_gram_chunks(const BatchView& y,
   if (k == 0 || nc == 0) return;
   const simd::KernelTable& kt = simd::active();
   if (y.is_dense()) {
-    // The tile walker per chunk, on row pointers shifted to the chunk.  A
-    // lone chunk shares its tile pairs with the team instead.
-    const DenseAliases al = dense_aliases(y);
-    const bool parallel = k * (k + 1) * (bounds.back() - bounds.front()) /
-                              2 >=
-                          kParallelFlopThreshold;
-    for_each_chunk(
-        nc, parallel, [&] { return dense_scratch(k); },
-        [&](const DenseScratch& s, std::size_t c) {
-          dense_gram_range(y, al, bounds[c], bounds[c + 1] - bounds[c],
-                           out.data() + c * stride, s.rows, s.tri,
-                           parallel && nc == 1, kt);
-        });
+    dense_gram_chunks(y, dense_aliases(y), bounds, stride, out.data(),
+                      k * (k + 1) * (bounds.back() - bounds.front()) / 2 >=
+                          kParallelFlopThreshold,
+                      kt);
     return;
   }
   // Sparse: per member the same scatter + partner gathers as the
   // full-range row, over the members' segments in the chunk, which are
-  // linked into row lists for the chunk and unlinked after it.
-  const bool parallel = k * y.nnz() >= kParallelFlopThreshold && k > 1;
+  // linked into row lists for the chunk and unlinked after it.  Each row
+  // gathers through its thread's own accumulator.
   for_each_chunk(
-      nc, parallel, [&] { return sparse_chunk_scratch(y, true); },
+      nc, k, k * y.nnz() >= kParallelFlopThreshold && k > 1,
+      [&](bool) { return sparse_chunk_scratch(y, true); },
       [&](SparseChunkScratch& s, std::size_t c) {
         seek_segments(y, bounds[c], bounds[c + 1], c == s.next, s.segs);
         s.next = c + 1;
         link_rows(s.segs, s.rl);
-        for (std::size_t i = 0; i < k; ++i)
-          sparse_gram_row(s.segs, s.rl, i, *s.acc,
-                          out.data() + c * stride + packed_upper_index(i, i, k),
-                          kt);
-        unlink_rows(s.segs, s.rl);
-      });
+      },
+      [&](const SparseChunkScratch& s, std::size_t c, std::size_t i) {
+        sparse_gram_row(s.segs, s.rl, i, sparse_gram_workspace(y.dim()),
+                        out.data() + c * stride + packed_upper_index(i, i, k),
+                        kt);
+      },
+      [](SparseChunkScratch& s, std::size_t) { unlink_rows(s.segs, s.rl); });
 }
 
 void sampled_dots_chunks(const BatchView& y,
@@ -683,32 +733,29 @@ void sampled_dots_chunks(const BatchView& y,
   const std::size_t ns = xs.size();
   const bool parallel =
       2 * ns * y.nnz() >= kParallelFlopThreshold && ns * k > 1;
-  // A chunk's dot sections go one section at a time over all members,
-  // the order of batch_dots.
   if (y.is_dense()) {
-    const DenseAliases al = dense_aliases(y);
-    for_each_chunk(
-        nc, parallel, [] { return 0; },
-        [&](int, std::size_t c) {
-          const std::size_t b = bounds[c];
-          for (std::size_t sct = 0; sct < ns; ++sct)
-            dense_dot_section(y, al, xs[sct].data(), b, bounds[c + 1] - b,
-                              out.data() + c * stride + sct * k, false, kt);
-        });
+    dense_dots_chunks(y, dense_aliases(y), xs, bounds, stride, out.data(),
+                      parallel, kt);
     return;
   }
+  // Item t = sct·k + i of a chunk is entry t of its dot sections: one
+  // section at a time over all members, the order of batch_dots.
   for_each_chunk(
-      nc, parallel, [&] { return sparse_chunk_scratch(y, false); },
+      nc, ns * k, parallel,
+      [&](bool) { return sparse_chunk_scratch(y, false); },
       [&](SparseChunkScratch& s, std::size_t c) {
         seek_segments(y, bounds[c], bounds[c + 1], c == s.next, s.segs);
         s.next = c + 1;
+      },
+      [&](const SparseChunkScratch& s, std::size_t c, std::size_t t) {
+        const std::size_t sct = t / k;
+        const Segment si = s.segs[t - sct * k];
         // Same gather order as dot(SparseVector, span), through the FULL
         // right-hand sides (the members keep their absolute indices).
-        for (std::size_t sct = 0; sct < ns; ++sct)
-          for (std::size_t i = 0; i < k; ++i)
-            out[c * stride + sct * k + i] = kt.gather_dot(
-                s.segs[i].val, s.segs[i].idx, s.segs[i].n, xs[sct].data());
-      });
+        out[c * stride + t] =
+            kt.gather_dot(si.val, si.idx, si.n, xs[sct].data());
+      },
+      [](SparseChunkScratch&, std::size_t) {});
 }
 
 void batch_dots(const BatchView& y, std::span<const double> x,
@@ -720,8 +767,10 @@ void batch_dots(const BatchView& y, std::span<const double> x,
   const bool parallel = 2 * y.nnz() >= kParallelFlopThreshold && k > 1;
   const simd::KernelTable& kt = simd::active();
   if (y.is_dense()) {
-    dense_dot_section(y, dense_aliases(y), x.data(), 0, y.dim(), out.data(),
-                      parallel, kt);
+    const std::span<const double> xs[] = {x};
+    const std::size_t whole[] = {0, y.dim()};
+    dense_dots_chunks(y, dense_aliases(y), xs, whole, k, out.data(), parallel,
+                      kt);
     return;
   }
   parallel_for(k, parallel, [&](std::size_t i) {

@@ -160,9 +160,11 @@ void batch_dots(const BatchView& y, std::span<const double> x,
 // drawn twice) have their Gram entries and dots computed once and copied
 // to the repeats; the bits equal those of private copies of each member,
 // so aliasing is invisible in the output.  The thread count is invisible
-// too: each chunk is packed whole by one thread.  Steady-state calls
-// allocate nothing (grow-only thread-local scratch, sized for k members by
-// the first, largest round) and fork at most one OpenMP team.
+// too: each output entry is computed by one thread in a fixed order.  With
+// at least as many chunks as threads, each chunk is packed whole by one
+// thread in one OpenMP region; with fewer, the team shares each chunk's
+// work items.  Steady-state calls allocate nothing (grow-only thread-local
+// scratch, sized for k members by the first, largest round).
 
 /// Packed Gram partial of each chunk: out[c·stride, c·stride + k(k+1)/2)
 /// for c < nc.  Entries between the chunk sections are left untouched.

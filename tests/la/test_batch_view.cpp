@@ -819,5 +819,105 @@ TEST(DenseAliasing, SecondRoundAllocatesNothing) {
   }
 }
 
+// ---------------------------------------------------------------------
+// Chunk teams.  With fewer chunks than threads the chunk-major kernels
+// share each chunk's work items with the team instead of handing whole
+// chunks to threads.  The bits must equal a one-thread run, and a second
+// call must allocate nothing on any thread.
+// ---------------------------------------------------------------------
+
+/// k sparse members over dim rows, each row a nonzero with probability
+/// `density`, in owning storage a BatchView can alias.
+struct OwnedSparse {
+  std::vector<std::vector<std::size_t>> idx;
+  std::vector<std::vector<double>> val;
+  std::vector<std::span<const std::size_t>> idx_spans;
+  std::vector<std::span<const double>> val_spans;
+
+  OwnedSparse(std::size_t k, std::size_t dim, double density,
+              std::uint64_t seed)
+      : idx(k), val(k) {
+    data::SplitMix64 rng(seed);
+    for (std::size_t i = 0; i < k; ++i) {
+      for (std::size_t r = 0; r < dim; ++r) {
+        if (rng.next_double() >= density) continue;
+        idx[i].push_back(r);
+        val[i].push_back(rng.next_normal());
+      }
+      idx_spans.emplace_back(idx[i]);
+      val_spans.emplace_back(val[i]);
+    }
+  }
+};
+
+TEST(ChunkTeams, FewerChunksThanThreadsBitIdenticalToOneThread) {
+#ifndef _OPENMP
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  KernelSettingsGuard guard;
+  constexpr int kTeam = 4;
+  const std::size_t k = 128;
+  // Both views clear the parallel-work threshold for the Gram and for the
+  // two dot sections, so a team of kTeam threads shares every chunk.
+  const std::size_t sparse_dim = 4000;
+  const OwnedSparse members(k, sparse_dim, 0.35, 91);
+  const BatchView sparse = BatchView::sparse(
+      members.idx_spans, members.val_spans, sparse_dim);
+  const std::size_t dense_dim = 1200;
+  const DenseMatrix pool = random_pool(100, dense_dim, 92);
+  Workspace ws;
+  const BatchView dense =
+      BatchView::of_rows(pool, draw_members(Draw::kSampled, k), ws);
+
+  for (const BatchView* view : {&sparse, &dense}) {
+    const std::size_t dim = view->dim();
+    const std::vector<double> x1 = random_vector(dim, 93);
+    const std::vector<double> x2 = random_vector(dim, 94);
+    const std::array<std::span<const double>, 2> xs{
+        std::span<const double>(x1), std::span<const double>(x2)};
+    const std::size_t tri = k * (k + 1) / 2;
+    const std::size_t stride = tri + 2 * k + 3;  // gap of 3
+    // One chunk, and three chunks with an empty one.
+    const std::vector<std::vector<std::size_t>> grids{
+        {0, dim}, {0, 0, 2 * dim / 5, dim}};
+    for (const std::vector<std::size_t>& bounds : grids) {
+      const std::size_t nc = bounds.size() - 1;
+      const std::string where =
+          std::string(view->is_dense() ? "dense" : "sparse") + " nc " +
+          std::to_string(nc);
+      auto pack = [&](std::vector<double>& wire) {
+        sampled_gram_chunks(*view, bounds, stride, wire);
+        sampled_dots_chunks(*view, xs, bounds, stride,
+                            std::span<double>(wire).subspan(tri));
+      };
+      std::vector<double> want(nc * stride, 7.0);
+      omp_set_num_threads(1);
+      pack(want);
+      std::vector<double> got(nc * stride, 7.0);
+      omp_set_num_threads(kTeam);
+      pack(got);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(double)),
+                0)
+          << where;
+
+      std::fill(got.begin(), got.end(), 7.0);
+      common::reset_steady_state_violations();
+      common::arm_allocation_guard(true);
+      const std::size_t before = g_alloc_count.load();
+      pack(got);
+      const std::size_t allocations = g_alloc_count.load() - before;
+      common::arm_allocation_guard(false);
+      EXPECT_EQ(allocations, 0u) << where;
+      EXPECT_EQ(common::steady_state_violations(), 0u) << where;
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(double)),
+                0)
+          << where;
+    }
+  }
+#endif
+}
+
 }  // namespace
 }  // namespace sa::la
